@@ -1,8 +1,8 @@
 //! Property-based tests for the collision substrate.
 
 use copred_collision::{
-    check_motion_scheduled, check_pose, enumerate_motion_cdqs, enumerate_motion_cdqs_scalar,
-    run_schedule, Environment, MotionCheckOutcome, Schedule,
+    check_motion_scheduled, check_pose, enumerate_motion_cdqs, run_schedule, Environment,
+    MotionCheckOutcome, Schedule,
 };
 use copred_geometry::{Aabb, Vec3};
 use copred_kinematics::{presets, Config, Motion, Robot};
@@ -105,21 +105,29 @@ proptest! {
     }
 
     #[test]
-    fn batched_enumeration_matches_scalar_oracle(
+    fn enumerated_cdqs_match_environment_query(
         obs in obstacles(),
         from in config2(),
         to in config2(),
         n in 1usize..20,
     ) {
-        // The lane-batched CDQ enumeration must reproduce the scalar
-        // reference exactly: same verdicts, same obstacle-test costs, same
-        // order, for every pose count (exercising every tail lane width).
+        // Every enumerated CDQ carries exactly the verdict and early-exit
+        // cost of the environment query on its own OBB, in pose-major then
+        // link order.
         let (robot, env) = planar_env(obs);
         let poses = Motion::new(from, to).discretize(n);
-        prop_assert_eq!(
-            enumerate_motion_cdqs(&robot, &env, &poses),
-            enumerate_motion_cdqs_scalar(&robot, &env, &poses)
-        );
+        let cdqs = enumerate_motion_cdqs(&robot, &env, &poses);
+        prop_assert_eq!(cdqs.len(), poses.len() * robot.link_count());
+        for (i, cdq) in cdqs.iter().enumerate() {
+            prop_assert_eq!(
+                (cdq.pose_idx, cdq.link_idx),
+                (i / robot.link_count(), i % robot.link_count())
+            );
+            prop_assert_eq!(
+                (cdq.colliding, cdq.obstacle_tests),
+                env.obb_collides_with_cost(&cdq.obb)
+            );
+        }
     }
 
     #[test]

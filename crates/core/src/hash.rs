@@ -346,42 +346,6 @@ impl CoordHash {
     pub fn k(&self) -> u32 {
         self.k
     }
-
-    /// Batched COORD codes for a slice of link centers.
-    ///
-    /// COORD only consumes the Cartesian center (the C-space config in
-    /// [`HashInput`] is ignored), so a center slice fully determines the
-    /// codes. Results are bit-identical to calling [`CollisionHash::code`]
-    /// per center; internally the centers are transposed per axis so the
-    /// fixed-point subtract/scale/clamp chain runs over contiguous lanes
-    /// (see [`FixedEncoder::encode_axis_slice`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is shorter than `centers`.
-    pub fn code_batch(&self, centers: &[Vec3], out: &mut [u64]) {
-        assert!(out.len() >= centers.len(), "output buffer too short");
-        let dims = if self.planar { 2 } else { 3 };
-        const CHUNK: usize = 64;
-        for (cs, os) in centers.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
-            let n = cs.len();
-            let mut vs = [0.0f64; CHUNK];
-            let mut q = [[0u16; CHUNK]; 3];
-            for (ax, q_ax) in q.iter_mut().enumerate().take(dims) {
-                for (v, c) in vs.iter_mut().zip(cs) {
-                    *v = c[ax];
-                }
-                self.enc.encode_axis_slice(&vs[..n], ax, q_ax);
-            }
-            for (i, o) in os.iter_mut().enumerate() {
-                let mut code = 0u64;
-                for q_ax in q.iter().take(dims) {
-                    code = (code << self.k) | u64::from(msbs(q_ax[i], self.k));
-                }
-                *o = code;
-            }
-        }
-    }
 }
 
 impl CollisionHash for CoordHash {

@@ -105,57 +105,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_coord_codes_match_scalar(
-        centers in prop::collection::vec(
-            (-2.0..2.0f64, -2.0..2.0f64, -2.0..2.0f64).prop_map(|(x, y, z)| Vec3::new(x, y, z)),
-            1..130,
-        ),
-        k in 1u32..9,
-        planar in any::<bool>(),
-    ) {
-        // The vectorized hash path must reproduce the scalar code for every
-        // center, including across the internal 64-element chunk boundary.
-        let ws = Aabb::new(Vec3::splat(-1.5), Vec3::splat(1.5));
-        let h = CoordHash::new(ws, k, planar);
-        let mut batch = vec![0u64; centers.len()];
-        h.code_batch(&centers, &mut batch);
-        let q = Config::zeros(2);
-        for (i, &c) in centers.iter().enumerate() {
-            prop_assert_eq!(
-                batch[i],
-                h.code(&HashInput { config: &q, center: c }),
-                "center {} diverged (k={}, planar={})", i, k, planar
-            );
-        }
-    }
-
-    #[test]
-    fn cht_gang_probe_matches_scalar(
-        observes in prop::collection::vec((0u64..64, any::<bool>()), 0..120),
-        probes in prop::collection::vec(0u64..64, 1..40),
-        counter_bits in 1u32..=8,
-        s_idx in 0usize..4,
-    ) {
-        // Gang-probed lookups must be bit-identical to per-code predicts —
-        // verdicts AND read stats — at every counter width 1..=8.
-        let s = [0.0, 0.5, 1.0, 2.0][s_idx];
-        let mut cht = Cht::new(
-            ChtParams { bits: 6, counter_bits, strategy: Strategy::new(s), update_fraction: 1.0 },
-            17,
-        );
-        for &(code, colliding) in &observes {
-            cht.observe(code, colliding);
-        }
-        let mut scalar_cht = cht.clone();
-        let mut batch = vec![false; probes.len()];
-        cht.predict_batch(&probes, &mut batch);
-        for (i, &code) in probes.iter().enumerate() {
-            prop_assert_eq!(batch[i], scalar_cht.predict(code), "probe {} diverged", i);
-        }
-        prop_assert_eq!(cht.stats().reads, scalar_cht.stats().reads);
-    }
-
-    #[test]
     fn metrics_counts_are_consistent(samples in prop::collection::vec((any::<bool>(), any::<bool>()), 0..200)) {
         let mut m = PredictionMetrics::new();
         for (p, a) in &samples {

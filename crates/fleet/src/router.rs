@@ -521,7 +521,7 @@ impl Router {
                     let (owner, gossip) = {
                         let r = self.routes.get_mut(session).expect("route checked above");
                         r.closed = true;
-                        (r.node, r.fp.zip(r.replica.clone()))
+                        (r.node, r.fp.zip(r.replica.take()))
                     };
                     if let Some((fp, payload)) = gossip {
                         self.gossip(owner, fp, &payload);
@@ -583,5 +583,72 @@ impl ReplayBackend for Router {
 
     fn call(&mut self, req: &Request) -> Result<Response, String> {
         Router::call(self, req)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::FleetBackend;
+    use copred_geometry::Vec3;
+    use copred_kinematics::Config;
+    use copred_service::protocol::{Request, Response, SchedMode};
+    use copred_trace::{MotionTrace, Stage, TraceCdq};
+
+    fn motion() -> MotionTrace {
+        let poses = vec![Config::new(vec![0.1, 0.2]), Config::new(vec![0.3, 0.4])];
+        let cdqs = (0..2u32)
+            .map(|pose_idx| TraceCdq {
+                pose_idx,
+                link_idx: 0,
+                center: Vec3::new(0.1 * f64::from(pose_idx), 0.2, 0.0),
+                colliding: pose_idx == 1,
+                obstacle_tests: 2,
+            })
+            .collect();
+        MotionTrace {
+            stage: Stage::Explore,
+            poses,
+            cdqs,
+        }
+    }
+
+    #[test]
+    fn closed_route_releases_its_replica_and_keeps_its_ledger() {
+        let mut fleet = FleetBackend::start(2).expect("fleet starts");
+        let router = fleet.router_mut();
+        let open = Request::Open {
+            robot: "planar-2d".to_string(),
+            link_count: 1,
+            mode: SchedMode::Coord,
+            seed: 7,
+            fp: Some(0xfeed),
+        };
+        let Ok(Response::Session { id, .. }) = router.call(&open) else {
+            panic!("open must answer a session");
+        };
+        let check = Request::CheckMotion {
+            session: id,
+            motions: vec![motion(), motion()],
+            trace: None,
+        };
+        assert!(matches!(router.call(&check), Ok(Response::Results { .. })));
+        let before = router.ledger(id).expect("ledger while open").clone();
+        assert_eq!(before.checks, 2);
+        assert!(
+            router.routes[&id].replica.is_some(),
+            "an open fingerprinted session caches a replica"
+        );
+
+        assert_eq!(
+            router.call(&Request::Close { session: id }),
+            Ok(Response::Closed)
+        );
+        let route = &router.routes[&id];
+        assert!(route.closed);
+        assert!(
+            route.replica.is_none(),
+            "closed route still holds replica bytes"
+        );
+        assert_eq!(router.ledger(id), Some(&before), "close changed the ledger");
     }
 }

@@ -73,25 +73,6 @@ impl FixedEncoder {
         ]
     }
 
-    /// Quantizes a slice of coordinates along one axis (SoA batch form).
-    ///
-    /// Bit-identical to calling [`Self::encode_axis`] per element; the
-    /// per-axis slice layout keeps the subtract/scale/clamp chain in a
-    /// vectorizable loop for the batched COORD hash.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out` is shorter than `vs`.
-    pub fn encode_axis_slice(&self, vs: &[f64], axis: usize, out: &mut [u16]) {
-        assert!(out.len() >= vs.len(), "output buffer too short");
-        let lo = self.workspace.min[axis];
-        let inv = self.inv_extent[axis];
-        for (o, &v) in out.iter_mut().zip(vs) {
-            let t = ((v - lo) * inv).clamp(0.0, 1.0);
-            *o = (t * f64::from(u16::MAX)).round() as u16;
-        }
-    }
-
     /// Reconstructs the (bin-center) world coordinate of a quantized point.
     pub fn decode(&self, q: [u16; 3]) -> Vec3 {
         let e = self.workspace.extents();
@@ -168,19 +149,6 @@ mod tests {
         let back = enc.decode(enc.encode(p));
         let lsb = 4.0 / f64::from(u16::MAX);
         assert!((back - p).abs().max_element() <= lsb);
-    }
-
-    #[test]
-    fn axis_slice_matches_scalar_bitwise() {
-        let enc = FixedEncoder::new(ws());
-        let vs: Vec<f64> = (0..37).map(|i| -3.0 + 0.17 * i as f64).collect();
-        for axis in 0..3 {
-            let mut out = vec![0u16; vs.len()];
-            enc.encode_axis_slice(&vs, axis, &mut out);
-            for (&v, &q) in vs.iter().zip(&out) {
-                assert_eq!(q, enc.encode_axis(v, axis));
-            }
-        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! [`ReplayLogError`], never a panic.
 
 use copred_service::{OpRecord, OplogMeta};
+use copred_store::crc::{crc32, Crc32};
 use std::fmt;
 use std::io::{self, Write};
 
@@ -205,52 +206,6 @@ pub struct ReplayLog {
     /// Whether the checksummed footer was present and verified. `false`
     /// means the tail was torn: `records` is the longest clean prefix.
     pub complete: bool,
-}
-
-/// Incremental CRC-32 (IEEE 802.3, reflected 0xEDB88320) — bit-identical
-/// to `copred_store::crc::crc32` but streamable, so the writer checksums
-/// as it goes instead of buffering the whole log.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// A fresh checksum.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Folds `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.state;
-        for &b in bytes {
-            c ^= u32::from(b);
-            for _ in 0..8 {
-                let mask = (c & 1).wrapping_neg();
-                c = (c >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-        self.state = c;
-    }
-
-    /// The checksum of everything folded so far.
-    pub fn finish(&self) -> u32 {
-        !self.state
-    }
-}
-
-/// One-shot convenience over [`Crc32`].
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
 }
 
 fn push_str(out: &mut Vec<u8>, s: &str) {

@@ -6,7 +6,7 @@
 
 use copred_geometry::Vec3;
 use copred_kinematics::Config;
-use copred_replay::format::{crc32, encode_header, encode_record, read_log, write_log};
+use copred_replay::format::{encode_header, encode_record, read_log, write_log};
 use copred_replay::{
     run_replay, Clock, InProcessBackend, LogMeta, LogRecord, ReplayLog, ReplayLogError, ReplayMode,
     ReplayOptions,
@@ -116,13 +116,6 @@ proptest! {
         }
         // And the untruncated log is complete.
         prop_assert!(read_log(&bytes).expect("full log").complete);
-    }
-
-    #[test]
-    fn incremental_crc_matches_store_crc(
-        data in prop::collection::vec(any::<u8>(), 0..200),
-    ) {
-        prop_assert_eq!(crc32(&data), copred_store::crc::crc32(&data));
     }
 
     #[test]

@@ -120,8 +120,8 @@ pub struct ChtPredictor<'a> {
     /// Latest prediction per `(pose_idx, link_idx)`, consumed at observe.
     predictions: HashMap<(usize, usize), bool>,
     /// COORD codes precomputed by [`Self::prime`], keyed like
-    /// `predictions`. Empty until primed; `code` falls back to the scalar
-    /// hash for any CDQ not in here.
+    /// `predictions`. Empty until primed; `code` falls back to hashing
+    /// any CDQ not in here.
     codes: HashMap<(usize, usize), u64>,
 }
 
@@ -137,30 +137,32 @@ impl<'a> ChtPredictor<'a> {
         }
     }
 
-    /// Precomputes the COORD code of every CDQ in `infos` with the batched
-    /// hash, so the per-CDQ predict/observe calls skip scalar re-encoding
-    /// (observe would otherwise encode the same center a second time).
+    /// Precomputes the COORD code of every CDQ in `infos`, so the per-CDQ
+    /// predict/observe calls skip re-encoding (observe would otherwise
+    /// encode the same center a second time).
     ///
-    /// Bit-exact by construction: a COORD code depends only on the CDQ
-    /// center and the session hasher — never on table state — so computing
-    /// it up front cannot change any code, prediction, or ledger entry.
+    /// A COORD code depends only on the CDQ center and the session hasher —
+    /// never on table state — so computing it up front cannot change any
+    /// code, prediction, or ledger entry.
     pub fn prime(&mut self, infos: &[CdqInfo]) {
-        if !self.enabled || infos.is_empty() {
+        if !self.enabled {
             return;
         }
-        let centers: Vec<copred_geometry::Vec3> = infos.iter().map(|c| c.center).collect();
-        let mut codes = vec![0u64; centers.len()];
-        self.session.hasher.code_batch(&centers, &mut codes);
         self.codes.reserve(infos.len());
-        for (c, &code) in infos.iter().zip(&codes) {
-            self.codes.insert((c.pose_idx, c.link_idx), code);
+        for cdq in infos {
+            let code = self.hash(cdq);
+            self.codes.insert((cdq.pose_idx, cdq.link_idx), code);
         }
     }
 
     fn code(&self, cdq: &CdqInfo) -> u64 {
-        if let Some(&code) = self.codes.get(&(cdq.pose_idx, cdq.link_idx)) {
-            return code;
+        match self.codes.get(&(cdq.pose_idx, cdq.link_idx)) {
+            Some(&code) => code,
+            None => self.hash(cdq),
         }
+    }
+
+    fn hash(&self, cdq: &CdqInfo) -> u64 {
         let input = HashInput {
             config: &self.poses[cdq.pose_idx],
             center: cdq.center,

@@ -1,6 +1,8 @@
-//! CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the checksum
-//! guarding snapshot payloads. Hand-rolled and std-only like the rest of the
-//! workspace; the lookup table is built at compile time.
+//! CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the one
+//! checksum of the workspace's binary formats: CPRDSNAP snapshot payloads,
+//! CPRDWAL records, and the CPRDLOG op-log footer. Hand-rolled and std-only
+//! like the rest of the workspace; the lookup table is built at compile
+//! time.
 
 /// The 256-entry lookup table for the reflected IEEE polynomial.
 const TABLE: [u32; 256] = build_table();
@@ -25,13 +27,46 @@ const fn build_table() -> [u32; 256] {
     table
 }
 
-/// CRC-32/IEEE of `bytes` (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+/// Streaming CRC-32/IEEE (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`):
+/// feed the bytes in any number of [`Self::update`] calls, so a writer can
+/// checksum as it goes instead of buffering everything it wrote.
+#[derive(Debug, Clone)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    c ^ 0xFFFF_FFFF
+}
+
+impl Crc32 {
+    /// A fresh checksum.
+    pub fn new() -> Self {
+        Crc32 { state: 0xFFFF_FFFF }
+    }
+
+    /// Folds `bytes` into the checksum.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut c = self.state;
+        for &b in bytes {
+            c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
+    }
+
+    /// The checksum of everything folded so far.
+    pub fn finish(&self) -> u32 {
+        self.state ^ 0xFFFF_FFFF
+    }
+}
+
+/// CRC-32/IEEE of `bytes` in one call.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = Crc32::new();
+    c.update(bytes);
+    c.finish()
 }
 
 #[cfg(test)]
@@ -44,6 +79,25 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn chunked_updates_equal_one_shot() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        let whole = crc32(&data);
+        for chunk in [1, 3, 7, 64, 999, 1000] {
+            let mut c = Crc32::new();
+            for part in data.chunks(chunk) {
+                c.update(part);
+            }
+            assert_eq!(c.finish(), whole, "chunk size {chunk}");
+        }
+        // Empty updates leave the state alone.
+        let mut c = Crc32::new();
+        c.update(&[]);
+        c.update(b"123456789");
+        c.update(&[]);
+        assert_eq!(c.finish(), 0xCBF4_3926);
     }
 
     #[test]

@@ -82,33 +82,33 @@ proptest! {
     }
 
     #[test]
-    fn concurrent_gang_probe_matches_scalar(
+    fn concurrent_cht_matches_reference_cht(
         observes in prop::collection::vec((0u64..64, any::<bool>(), 0.0..1.0f64), 0..120),
         probes in prop::collection::vec(0u64..64, 1..40),
         counter_bits in 1u32..=8,
         s_idx in 0usize..4,
     ) {
-        // The SWAR gang probe (and its scalar fallback for non-SWAR
-        // strategies) must agree with per-code predicts at every counter
-        // width 1..=8 — including the u64-packed-lane widths the SWAR
-        // compare handles directly (S = 0 and S = 1).
+        // The shared table predicts exactly like the single-threaded
+        // reference on the same outcome stream, for every strategy and
+        // counter width 1..=8. U = 1 applies every write on both sides.
         let s = [0.0, 0.5, 1.0, 2.0][s_idx];
-        let cht = ConcurrentCht::new(ChtParams {
+        let params = ChtParams {
             bits: 6,
             counter_bits,
             strategy: copred_core::Strategy::new(s),
             update_fraction: 1.0,
-        });
+        };
+        let shared = ConcurrentCht::new(params);
+        let mut reference = copred_core::Cht::new(params, 17);
         for &(code, colliding, u) in &observes {
-            cht.observe(code, colliding, u);
+            shared.observe(code, colliding, u);
+            reference.observe(code, colliding);
         }
-        let mut batch = vec![false; probes.len()];
-        cht.predict_batch(&probes, &mut batch);
-        for (i, &code) in probes.iter().enumerate() {
+        for &code in &probes {
             prop_assert_eq!(
-                batch[i],
-                cht.predict(code),
-                "probe {} diverged (S={}, counter_bits={})", i, s, counter_bits
+                shared.predict(code),
+                reference.predict(code),
+                "code {} diverged (S={}, counter_bits={})", code, s, counter_bits
             );
         }
     }
