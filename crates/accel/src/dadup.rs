@@ -71,10 +71,12 @@ pub struct PrecomputedMotion {
 /// Dadu-P). The swept volume is the union of all link AABBs over the sample
 /// poses.
 pub fn precompute_motion(robot: &Robot, poses: &[Config], cfg: &DadupConfig) -> PrecomputedMotion {
-    let boxes: Vec<_> = poses
-        .iter()
-        .flat_map(|q| robot.fk(q).links.into_iter().map(|l| l.obb.aabb()))
-        .collect();
+    let mut boxes = Vec::with_capacity(poses.len() * robot.link_count());
+    let mut obbs = Vec::with_capacity(robot.link_count());
+    for q in poses {
+        robot.fk_obbs(q, &mut obbs);
+        boxes.extend(obbs.iter().map(|o| o.aabb()));
+    }
     PrecomputedMotion {
         octree: Octree::build(robot.workspace(), cfg.octree_depth, &boxes),
     }

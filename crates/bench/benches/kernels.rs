@@ -77,6 +77,14 @@ fn bench_fk(c: &mut Criterion) {
     let robot: Robot = presets::baxter_arm().into();
     let q = Config::new(vec![0.1, -0.4, 0.9, 0.5, -0.7, 0.3, 0.2]);
     c.bench_function("fk_7dof", |b| b.iter(|| black_box(robot.fk(black_box(&q)))));
+    // The OBB-only FK the detection hot path runs, into a reused buffer.
+    let mut obbs = Vec::with_capacity(robot.link_count());
+    c.bench_function("fk_obbs_7dof", |b| {
+        b.iter(|| {
+            robot.fk_obbs(black_box(&q), &mut obbs);
+            black_box(&obbs);
+        })
+    });
 }
 
 fn bench_motion_check(c: &mut Criterion) {

@@ -38,15 +38,16 @@ pub fn enumerate_pose_cdqs(robot: &Robot, env: &Environment, q: &Config) -> Vec<
 /// [`Environment::obb_collides_with_cost`] call per link.
 pub fn enumerate_motion_cdqs(robot: &Robot, env: &Environment, poses: &[Config]) -> Vec<CdqInfo> {
     let mut out = Vec::with_capacity(poses.len() * robot.link_count());
+    let mut obbs = Vec::with_capacity(robot.link_count());
     for (pose_idx, q) in poses.iter().enumerate() {
-        let pose = robot.fk(q);
-        for (link_idx, link) in pose.links.iter().enumerate() {
-            let (colliding, obstacle_tests) = env.obb_collides_with_cost(&link.obb);
+        robot.fk_obbs(q, &mut obbs);
+        for (link_idx, obb) in obbs.iter().enumerate() {
+            let (colliding, obstacle_tests) = env.obb_collides_with_cost(obb);
             out.push(CdqInfo {
                 pose_idx,
                 link_idx,
-                center: link.center,
-                obb: link.obb,
+                center: obb.center,
+                obb: *obb,
                 colliding,
                 obstacle_tests,
             });
@@ -59,18 +60,31 @@ pub fn enumerate_motion_cdqs(robot: &Robot, env: &Environment, poses: &[Config])
 /// executed)`. This is the hot path planners call: links are tested in
 /// order and the check stops at the first collision.
 pub fn check_pose(robot: &Robot, env: &Environment, q: &Config) -> (bool, usize) {
-    let pose = robot.fk(q);
-    for (i, link) in pose.links.iter().enumerate() {
-        if env.obb_collides(&link.obb) {
+    check_pose_into(robot, env, q, &mut Vec::with_capacity(robot.link_count()))
+}
+
+/// [`check_pose`] with a caller-owned buffer for the link OBBs.
+fn check_pose_into(
+    robot: &Robot,
+    env: &Environment,
+    q: &Config,
+    obbs: &mut Vec<Obb>,
+) -> (bool, usize) {
+    robot.fk_obbs(q, obbs);
+    for (i, obb) in obbs.iter().enumerate() {
+        if env.obb_collides(obb) {
             return (true, i + 1);
         }
     }
-    (false, pose.links.len())
+    (false, obbs.len())
 }
 
 /// Ground truth for a motion: `true` when any sample pose collides.
 pub fn motion_collides(robot: &Robot, env: &Environment, poses: &[Config]) -> bool {
-    poses.iter().any(|q| check_pose(robot, env, q).0)
+    let mut obbs = Vec::with_capacity(robot.link_count());
+    poses
+        .iter()
+        .any(|q| check_pose_into(robot, env, q, &mut obbs).0)
 }
 
 /// Aggregate CDQ counters accumulated over a motion-planning query.

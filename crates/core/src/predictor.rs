@@ -119,8 +119,8 @@ impl Predictor {
         env: &Environment,
         poses: &[Config],
     ) -> MotionCheckOutcome {
-        // Queue entries: (config index, link center, obb, obstacle cost hint).
-        let mut queue: Vec<(usize, copred_geometry::Vec3, copred_geometry::Obb)> = Vec::new();
+        let mut queue: Vec<(usize, copred_geometry::Obb)> = Vec::new();
+        let mut obbs = Vec::with_capacity(robot.link_count());
         let mut executed = 0usize;
         let mut tests = 0usize;
         let total = poses.len() * robot.link_count();
@@ -129,14 +129,14 @@ impl Predictor {
             copred_kinematics::csp_order(poses.len(), copred_collision::Schedule::DEFAULT_CSP_STEP);
         for pi in order {
             let q = &poses[pi];
-            let pose = robot.fk(q);
-            for link in &pose.links {
+            robot.fk_obbs(q, &mut obbs);
+            for obb in &obbs {
                 let input = HashInput {
                     config: q,
-                    center: link.center,
+                    center: obb.center,
                 };
                 if self.predict(&input) {
-                    let (colliding, cost) = env.obb_collides_with_cost(&link.obb);
+                    let (colliding, cost) = env.obb_collides_with_cost(obb);
                     executed += 1;
                     tests += cost;
                     self.observe(&input, colliding);
@@ -149,17 +149,17 @@ impl Predictor {
                         };
                     }
                 } else {
-                    queue.push((pi, link.center, link.obb));
+                    queue.push((pi, *obb));
                 }
             }
         }
-        for (pi, center, obb) in queue {
+        for (pi, obb) in queue {
             let (colliding, cost) = env.obb_collides_with_cost(&obb);
             executed += 1;
             tests += cost;
             let input = HashInput {
                 config: &poses[pi],
-                center,
+                center: obb.center,
             };
             self.observe(&input, colliding);
             if colliding {

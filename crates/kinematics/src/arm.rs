@@ -132,21 +132,8 @@ impl ArmModel {
     ///
     /// Panics when `q` has the wrong DOF count.
     pub fn link_transforms(&self, q: &Config) -> Vec<Iso3> {
-        assert_eq!(
-            q.dofs(),
-            self.dofs(),
-            "configuration has {} DOFs, arm {} has {}",
-            q.dofs(),
-            self.name,
-            self.dofs()
-        );
         let mut ts = Vec::with_capacity(self.joints.len() + 1);
-        let mut t = self.base;
-        ts.push(t);
-        for (j, &qi) in self.joints.iter().zip(q.values()) {
-            t = t * Iso3::from_dh(j.theta_offset + qi, j.d, j.a, j.alpha);
-            ts.push(t);
-        }
+        self.walk_frames(q, |t| ts.push(*t));
         ts
     }
 
@@ -162,29 +149,78 @@ impl ArmModel {
     ///
     /// Panics when `q` has the wrong DOF count.
     pub fn fk(&self, q: &Config) -> RobotPose {
-        let ts = self.link_transforms(q);
         let r = self.link_radius;
         let mut links = Vec::with_capacity(self.joints.len());
-        for w in ts.windows(2) {
-            let (p0, p1) = (w[0].trans, w[1].trans);
-            links.push(segment_link(p0, p1, r, self.spheres_per_link));
-        }
+        self.walk_segments(q, |p0, p1| {
+            links.push(segment_link(p0, p1, r, self.spheres_per_link))
+        });
         RobotPose { links }
+    }
+
+    /// Forward kinematics reduced to the link OBBs: clears `out` and writes
+    /// one OBB per link, bit-identical to `fk(q).links[i].obb`. Allocates
+    /// nothing once `out` has room for [`ArmModel::dofs`] boxes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` has the wrong DOF count.
+    pub fn fk_obbs(&self, q: &Config, out: &mut Vec<Obb>) {
+        out.clear();
+        let r = self.link_radius;
+        self.walk_segments(q, |p0, p1| out.push(segment_obb(p0, p1, r)));
+    }
+
+    /// Walks the chain for `q`, visiting the base frame and then each
+    /// joint's world frame in order.
+    fn walk_frames(&self, q: &Config, mut visit: impl FnMut(&Iso3)) {
+        assert_eq!(
+            q.dofs(),
+            self.dofs(),
+            "configuration has {} DOFs, arm {} has {}",
+            q.dofs(),
+            self.name,
+            self.dofs()
+        );
+        let mut t = self.base;
+        visit(&t);
+        for (j, &qi) in self.joints.iter().zip(q.values()) {
+            t = t * Iso3::from_dh(j.theta_offset + qi, j.d, j.a, j.alpha);
+            visit(&t);
+        }
+    }
+
+    /// Visits every link's segment `(p0, p1)` between consecutive frame
+    /// origins, from the base outward.
+    fn walk_segments(&self, q: &Config, mut visit: impl FnMut(Vec3, Vec3)) {
+        let mut prev: Option<Vec3> = None;
+        self.walk_frames(q, |t| {
+            if let Some(p0) = prev {
+                visit(p0, t.trans);
+            }
+            prev = Some(t.trans);
+        });
     }
 }
 
-/// Builds the bounding geometry of a link spanning `p0 → p1`.
-fn segment_link(p0: Vec3, p1: Vec3, radius: f64, n_spheres: usize) -> LinkPose {
+/// The OBB of a link spanning `p0 → p1`, or a radius-sized cube at the
+/// midpoint when the segment is degenerate.
+fn segment_obb(p0: Vec3, p1: Vec3, radius: f64) -> Obb {
     let center = (p0 + p1) * 0.5;
     let dir = p1 - p0;
     let len = dir.norm();
-    let obb = if len < 1e-9 {
+    if len < 1e-9 {
         Obb::axis_aligned(center, Vec3::splat(radius))
     } else {
         let x = dir / len;
         let rot = orthonormal_frame(x);
         Obb::new(center, rot, Vec3::new(len * 0.5 + radius, radius, radius))
-    };
+    }
+}
+
+/// Builds the bounding geometry of a link spanning `p0 → p1`.
+fn segment_link(p0: Vec3, p1: Vec3, radius: f64, n_spheres: usize) -> LinkPose {
+    let obb = segment_obb(p0, p1, radius);
+    let len = (p1 - p0).norm();
     // Sphere radii grow slightly so the union covers the capsule.
     let sphere_r = radius * 1.3 + len / (2.0 * n_spheres as f64);
     let spheres = (0..n_spheres)
@@ -198,7 +234,7 @@ fn segment_link(p0: Vec3, p1: Vec3, radius: f64, n_spheres: usize) -> LinkPose {
         })
         .collect();
     LinkPose {
-        center,
+        center: obb.center,
         obb,
         spheres,
     }

@@ -84,15 +84,31 @@ impl PlanarModel {
     ///
     /// Panics when `q` does not have exactly 2 DOFs.
     pub fn fk(&self, q: &Config) -> RobotPose {
-        assert_eq!(q.dofs(), 2, "planar robot needs a 2-DOF configuration");
-        let center = Vec3::planar(q[0], q[1]);
-        let r = self.radius;
+        let obb = self.disc_obb(q);
         let link = LinkPose {
-            center,
-            obb: Obb::axis_aligned(center, Vec3::new(r, r, r)),
-            spheres: vec![Sphere::new(center, r)],
+            center: obb.center,
+            obb,
+            spheres: vec![Sphere::new(obb.center, self.radius)],
         };
         RobotPose { links: vec![link] }
+    }
+
+    /// Forward kinematics reduced to the link OBBs: clears `out` and writes
+    /// the disc's one axis-aligned OBB, equal to `fk(q).links[0].obb`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` does not have exactly 2 DOFs.
+    pub fn fk_obbs(&self, q: &Config, out: &mut Vec<Obb>) {
+        out.clear();
+        out.push(self.disc_obb(q));
+    }
+
+    /// The disc's bounding box at `(x, y, 0)`.
+    fn disc_obb(&self, q: &Config) -> Obb {
+        assert_eq!(q.dofs(), 2, "planar robot needs a 2-DOF configuration");
+        let r = self.radius;
+        Obb::axis_aligned(Vec3::planar(q[0], q[1]), Vec3::new(r, r, r))
     }
 }
 

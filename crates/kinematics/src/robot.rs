@@ -4,7 +4,7 @@ use crate::arm::ArmModel;
 use crate::config::Config;
 use crate::planar::PlanarModel;
 use crate::pose::RobotPose;
-use copred_geometry::Aabb;
+use copred_geometry::{Aabb, Obb};
 use rand::Rng;
 
 /// Any robot the reproduction evaluates: a DH arm or a planar disc robot.
@@ -84,6 +84,21 @@ impl Robot {
         match self {
             Robot::Arm(a) => a.fk(q),
             Robot::Planar(p) => p.fk(q),
+        }
+    }
+
+    /// Forward kinematics reduced to the link OBBs, written into `out`
+    /// (cleared first): one box per link, bit-identical to
+    /// `fk(q).links[i].obb`, with no allocation once `out` has room for
+    /// [`Robot::link_count`] boxes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` has the wrong number of DOFs.
+    pub fn fk_obbs(&self, q: &Config, out: &mut Vec<Obb>) {
+        match self {
+            Robot::Arm(a) => a.fk_obbs(q, out),
+            Robot::Planar(p) => p.fk_obbs(q, out),
         }
     }
 

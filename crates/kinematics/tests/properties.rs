@@ -1,7 +1,44 @@
 //! Property-based tests for kinematics invariants.
 
+use copred_geometry::{Obb, Vec3};
 use copred_kinematics::{csp_order, presets, Config, Motion, Robot};
 use proptest::prelude::*;
+
+fn vec_bits(v: Vec3) -> [u64; 3] {
+    [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]
+}
+
+fn obb_bits(o: &Obb) -> Vec<u64> {
+    let mut bits = vec_bits(o.center).to_vec();
+    for c in 0..3 {
+        bits.extend(vec_bits(o.rot.col(c)));
+    }
+    bits.extend(vec_bits(o.half_extents));
+    bits
+}
+
+/// Every preset, with a configuration drawn from unit-interval fractions
+/// of its joint limits.
+fn presets_at(fracs: &[f64]) -> Vec<(Robot, Config)> {
+    [
+        Robot::from(presets::kuka_iiwa()),
+        Robot::from(presets::jaco2()),
+        Robot::from(presets::baxter_arm()),
+        Robot::from(presets::planar_arm_2dof()),
+        Robot::from(presets::planar_2d()),
+    ]
+    .into_iter()
+    .map(|robot| {
+        let q = (0..robot.dofs())
+            .map(|i| {
+                let (lo, hi) = robot.limits(i);
+                lo + (hi - lo) * fracs[i]
+            })
+            .collect();
+        (robot, q)
+    })
+    .collect()
+}
 
 fn config7() -> impl Strategy<Value = Config> {
     prop::collection::vec(-1.5..1.5f64, 7).prop_map(Config::new)
@@ -12,6 +49,22 @@ proptest! {
     fn fk_is_deterministic(q in config7()) {
         let arm = presets::kuka_iiwa();
         prop_assert_eq!(arm.fk(&q), arm.fk(&q));
+    }
+
+    #[test]
+    fn fk_obbs_is_bit_identical_to_fk(fracs in prop::collection::vec(0.0..1.0f64, 7)) {
+        // COORD codes, verdicts and CDQ counts rest on the OBB-only FK
+        // reproducing the full FK's boxes to the bit.
+        let mut obbs = vec![Obb::axis_aligned(Vec3::ZERO, Vec3::ZERO); 9];
+        for (robot, q) in presets_at(&fracs) {
+            let pose = robot.fk(&q);
+            robot.fk_obbs(&q, &mut obbs);
+            prop_assert_eq!(obbs.len(), pose.links.len(), "{}", robot.name());
+            for (obb, link) in obbs.iter().zip(&pose.links) {
+                prop_assert_eq!(obb_bits(obb), obb_bits(&link.obb), "{}", robot.name());
+                prop_assert_eq!(vec_bits(link.center), vec_bits(link.obb.center));
+            }
+        }
     }
 
     #[test]

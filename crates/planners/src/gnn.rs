@@ -63,11 +63,11 @@ impl GnnmpEmulator {
     /// the edge midpoint, so the search prefers edges through open space.
     fn edge_prior(&self, ctx: &PlanContext<'_>, a: &Config, b: &Config) -> f64 {
         let mid = a.lerp(b, 0.5);
-        let pose = ctx.robot().fk(&mid);
-        let clearance = pose
-            .links
+        let mut obbs = Vec::new();
+        ctx.robot().fk_obbs(&mid, &mut obbs);
+        let clearance = obbs
             .iter()
-            .map(|l| ctx.env().clearance(l.center))
+            .map(|o| ctx.env().clearance(o.center))
             .fold(f64::INFINITY, f64::min);
         a.distance(b) * (1.0 + 0.5 / (clearance + 0.05))
     }

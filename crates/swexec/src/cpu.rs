@@ -13,6 +13,7 @@ use copred_collision::Environment;
 use copred_core::hash::CollisionHash;
 use copred_core::HashInput;
 use copred_core::{ChtParams, CoordHash};
+use copred_geometry::Obb;
 use copred_kinematics::{Config, Robot};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -93,6 +94,11 @@ pub fn run_cpu(
                     state ^= state << 17;
                     (state >> 11) as f64 / (1u64 << 53) as f64
                 };
+                // Per-thread buffers, cleared for each pose or motion: the
+                // links of the current pose, and the CDQs deferred to the
+                // execute phase with the COORD code already computed.
+                let mut obbs: Vec<Obb> = Vec::with_capacity(robot.link_count());
+                let mut queue: Vec<(u64, Obb)> = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= motions.len() {
@@ -105,26 +111,25 @@ pub fn run_cpu(
                         // Algorithm 1: predicted CDQs first, queue the rest.
                         let predict_span = copred_obs::span("swexec", "predict");
                         let predict_stage = copred_obs::stage(copred_obs::Stage::Predict);
-                        let mut queue: Vec<(usize, copred_geometry::Vec3, copred_geometry::Obb)> =
-                            Vec::new();
-                        'outer: for (pi, q) in poses.iter().enumerate() {
-                            let pose = robot.fk(q);
-                            for link in &pose.links {
+                        queue.clear();
+                        'outer: for q in poses {
+                            robot.fk_obbs(q, &mut obbs);
+                            for obb in &obbs {
                                 let input = HashInput {
                                     config: q,
-                                    center: link.center,
+                                    center: obb.center,
                                 };
                                 let code = hash.code(&input);
                                 if cht.predict(code) {
                                     executed += 1;
-                                    let c = env.obb_collides(&link.obb);
+                                    let c = env.obb_collides(obb);
                                     cht.observe(code, c, rand01());
                                     if c {
                                         hit = true;
                                         break 'outer;
                                     }
                                 } else {
-                                    queue.push((pi, link.center, link.obb));
+                                    queue.push((code, *obb));
                                 }
                             }
                         }
@@ -133,14 +138,10 @@ pub fn run_cpu(
                         if !hit {
                             let _execute_span = copred_obs::span("swexec", "execute");
                             let _execute_stage = copred_obs::stage(copred_obs::Stage::Execute);
-                            for (pi, center, obb) in queue {
+                            for (code, obb) in &queue {
                                 executed += 1;
-                                let c = env.obb_collides(&obb);
-                                let input = HashInput {
-                                    config: &poses[pi],
-                                    center,
-                                };
-                                cht.observe(hash.code(&input), c, rand01());
+                                let c = env.obb_collides(obb);
+                                cht.observe(*code, c, rand01());
                                 if c {
                                     hit = true;
                                     break;
@@ -152,10 +153,10 @@ pub fn run_cpu(
                         let _execute_span = copred_obs::span("swexec", "execute");
                         let _execute_stage = copred_obs::stage(copred_obs::Stage::Execute);
                         'outer2: for q in poses {
-                            let pose = robot.fk(q);
-                            for link in &pose.links {
+                            robot.fk_obbs(q, &mut obbs);
+                            for obb in &obbs {
                                 executed += 1;
-                                if env.obb_collides(&link.obb) {
+                                if env.obb_collides(obb) {
                                     hit = true;
                                     break 'outer2;
                                 }
