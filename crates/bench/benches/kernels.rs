@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the hot kernels behind every figure:
 //! COORD/POSE hashing, CHT lookups/updates, the OBB SAT test, forward
-//! kinematics, and end-to-end motion checks with and without prediction.
+//! kinematics, end-to-end motion checks with and without prediction, and
+//! the motion-block text codec every wire request carries.
 
 use copred_collision::{check_motion_scheduled, Environment, Schedule};
 use copred_core::hash::CollisionHash;
@@ -174,6 +175,53 @@ fn bench_accel_sim(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_motion_block_codec(c: &mut Criterion) {
+    use copred_planners::{MotionRecord, PlanLog, Stage};
+    use copred_trace::{MotionTrace, QueryTrace};
+
+    // One 7-DOF motion of 6 poses: 42 CDQs, 84 floats on the wire.
+    let robot: Robot = presets::kuka_iiwa().into();
+    let env = Environment::new(
+        robot.workspace(),
+        vec![Aabb::from_center_half_extents(
+            Vec3::new(0.45, 0.1, 0.45),
+            Vec3::splat(0.22),
+        )],
+    );
+    let mut rng = StdRng::seed_from_u64(5);
+    let poses = Motion::new(
+        robot.sample_uniform(&mut rng),
+        robot.sample_uniform(&mut rng),
+    )
+    .discretize(6);
+    let colliding = copred_collision::motion_collides(&robot, &env, &poses);
+    let trace = QueryTrace::from_log(
+        &robot,
+        &env,
+        &PlanLog {
+            records: vec![MotionRecord {
+                poses,
+                stage: Stage::Explore,
+                colliding,
+            }],
+        },
+    );
+    let motion = &trace.motions[0];
+    assert_eq!(motion.cdqs.len(), 42);
+    let text = motion.to_text();
+    let mut out = String::with_capacity(text.len());
+    c.bench_function("motion_block_encode", |b| {
+        b.iter(|| {
+            out.clear();
+            black_box(motion).write_text(&mut out);
+            black_box(&out);
+        })
+    });
+    c.bench_function("motion_block_decode", |b| {
+        b.iter(|| black_box(MotionTrace::from_text(black_box(&text))))
+    });
+}
+
 fn bench_scene_generation(c: &mut Criterion) {
     let robot: Robot = presets::planar_2d().into();
     let mut rng = StdRng::seed_from_u64(4);
@@ -197,6 +245,7 @@ criterion_group!(
     bench_fk,
     bench_motion_check,
     bench_accel_sim,
+    bench_motion_block_codec,
     bench_scene_generation
 );
 criterion_main!(benches);

@@ -27,6 +27,15 @@
 //! (any)                                    err <code> <message>
 //! ```
 //!
+//! Every line is split into fields on runs of ASCII whitespace (space,
+//! `\t`, `\x0C`, `\r`; see [`str::split_ascii_whitespace`]), the same rule
+//! the embedded `motion` blocks follow. Unicode-only separators such as
+//! U+00A0 or U+000B do not separate fields, so a request using them is
+//! rejected as malformed. Encoders write exactly one space between fields.
+//! Integer fields are decimal unless shown as hex; a field typed `u32`
+//! (the `open` link count, the `snap_*` version and CRC) that exceeds
+//! 32 bits is an error, never truncated.
+//!
 //! The `snap_*` verbs are the fleet replication ops: a snapshot payload is
 //! a complete CPRDSNAP byte string ([`copred_store::snapshot`]), hex-coded
 //! onto the wire. `snap_push` carries the transfer length and CRC
@@ -46,6 +55,7 @@
 use copred_obs::TraceId;
 use copred_trace::MotionTrace;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// How a session schedules the CDQs of each motion check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,16 +292,18 @@ pub enum Response {
     Error(ServiceError),
 }
 
-/// Hex-codes a byte string for the wire (lowercase, two digits per byte).
-fn to_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+/// Appends a byte string hex-coded for the wire (lowercase, two digits
+/// per byte) to `out`.
+fn push_hex(out: &mut String, bytes: &[u8]) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
-    s
 }
 
-/// Decodes a wire hex line produced by [`to_hex`].
+/// Decodes a wire hex line produced by [`push_hex`].
 fn from_hex(s: &str) -> Result<Vec<u8>, String> {
     if !s.len().is_multiple_of(2) {
         return Err("odd hex payload length".into());
@@ -308,6 +320,10 @@ fn from_hex(s: &str) -> Result<Vec<u8>, String> {
 fn parse_hex_u64(tok: Option<&str>, what: &str) -> Result<u64, String> {
     let tok = tok.ok_or_else(|| format!("missing {what}"))?;
     u64::from_str_radix(tok, 16).map_err(|_| format!("bad {what} (want hex)"))
+}
+
+fn parse_hex_u32(tok: Option<&str>, what: &str) -> Result<u32, String> {
+    u32::try_from(parse_hex_u64(tok, what)?).map_err(|_| format!("{what} exceeds 32 bits"))
 }
 
 /// Parses the `<hex payload>` line of a snap op: exactly one line whose
@@ -334,6 +350,10 @@ fn parse_u64(tok: Option<&str>, what: &str) -> Result<u64, String> {
     tok.ok_or_else(|| format!("missing {what}"))?
         .parse()
         .map_err(|_| format!("bad {what}"))
+}
+
+fn parse_u32(tok: Option<&str>, what: &str) -> Result<u32, String> {
+    u32::try_from(parse_u64(tok, what)?).map_err(|_| format!("{what} exceeds 32 bits"))
 }
 
 impl Request {
@@ -397,11 +417,12 @@ impl Request {
                 version,
                 crc,
                 payload,
-            } => format!(
-                "snap_push {fp:x} {version} {crc:x} {}\n{}\n",
-                payload.len(),
-                to_hex(payload)
-            ),
+            } => {
+                let mut out = format!("snap_push {fp:x} {version} {crc:x} {}\n", payload.len());
+                push_hex(&mut out, payload);
+                out.push('\n');
+                out
+            }
         }
     }
 
@@ -411,12 +432,12 @@ impl Request {
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().enumerate();
         let (_, head) = lines.next().ok_or("empty request")?;
-        let mut f = head.split_whitespace();
+        let mut f = head.split_ascii_whitespace();
         let verb = f.next().ok_or("blank request line")?;
         match verb {
             "open" => {
                 let robot = f.next().ok_or("missing robot name")?.to_string();
-                let link_count = parse_u64(f.next(), "link count")? as u32;
+                let link_count = parse_u32(f.next(), "link count")?;
                 let mode = SchedMode::parse(f.next().ok_or("missing mode")?)
                     .ok_or("bad mode (want coord|naive|csp)")?;
                 let seed = parse_u64(f.next(), "seed")?;
@@ -518,8 +539,8 @@ impl Request {
             }
             "snap_offer" => {
                 let fp = parse_hex_u64(f.next(), "fp")?;
-                let version = parse_u64(f.next(), "snapshot version")? as u32;
-                let crc = parse_hex_u64(f.next(), "transfer crc")? as u32;
+                let version = parse_u32(f.next(), "snapshot version")?;
+                let crc = parse_hex_u32(f.next(), "transfer crc")?;
                 let len = parse_u64(f.next(), "payload length")?;
                 reject_extra(&mut f, "payload length")?;
                 Ok(Request::SnapOffer {
@@ -531,8 +552,8 @@ impl Request {
             }
             "snap_push" => {
                 let fp = parse_hex_u64(f.next(), "fp")?;
-                let version = parse_u64(f.next(), "snapshot version")? as u32;
-                let crc = parse_hex_u64(f.next(), "transfer crc")? as u32;
+                let version = parse_u32(f.next(), "snapshot version")?;
+                let crc = parse_hex_u32(f.next(), "transfer crc")?;
                 let len = parse_u64(f.next(), "payload length")?;
                 reject_extra(&mut f, "payload length")?;
                 let mut rest = lines.map(|(_, l)| l);
@@ -595,13 +616,15 @@ impl Response {
                     None => format!("ok results {}\n", results.len()),
                 };
                 for r in results {
-                    out.push_str(&format!(
-                        "result {} {} {} {}\n",
+                    writeln!(
+                        out,
+                        "result {} {} {} {}",
                         u8::from(r.colliding),
                         r.cdqs_executed,
                         r.cdqs_total,
                         r.obstacle_tests
-                    ));
+                    )
+                    .expect("string write");
                 }
                 out
             }
@@ -609,14 +632,17 @@ impl Response {
             Response::Stats(kv) => {
                 let mut out = format!("ok stats {}\n", kv.len());
                 for (k, v) in kv {
-                    out.push_str(&format!("{k} {v}\n"));
+                    writeln!(out, "{k} {v}").expect("string write");
                 }
                 out
             }
             Response::DumpDone { entries } => format!("ok dump {entries}\n"),
             Response::Closed => "ok closed\n".to_string(),
             Response::Snap { fp, payload } => {
-                format!("ok snap {fp:x} {}\n{}\n", payload.len(), to_hex(payload))
+                let mut out = format!("ok snap {fp:x} {}\n", payload.len());
+                push_hex(&mut out, payload);
+                out.push('\n');
+                out
             }
             Response::SnapNone { fp } => format!("ok snap_none {fp:x}\n"),
             Response::SnapWant { fp, want } => {
@@ -642,7 +668,7 @@ impl Response {
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let head = lines.next().ok_or("empty response")?;
-        let mut f = head.split_whitespace();
+        let mut f = head.split_ascii_whitespace();
         match f.next() {
             Some("ok") => match f.next() {
                 Some("session") => {
@@ -667,7 +693,7 @@ impl Response {
                     let mut rs = Vec::with_capacity(n);
                     for _ in 0..n {
                         let line = lines.next().ok_or("truncated results")?;
-                        let mut g = line.split_whitespace();
+                        let mut g = line.split_ascii_whitespace();
                         if g.next() != Some("result") {
                             return Err("expected 'result' line".into());
                         }
@@ -974,9 +1000,43 @@ mod tests {
             "snap_push 1f 1 aa 2\ncafe\nextra\n",
             "snap_push 1f 1 aa 2\ncafg\n",
             "snap_push 1f 1 aa 3\ncafe0\n",
+            // u32 wire fields reject out-of-range values instead of
+            // truncating them (4294967297 would wrap to 1).
+            "open r 4294967297 coord 3",
+            "open r 4294967296 coord 3",
+            "snap_offer 1f 4294967297 aa 4",
+            "snap_offer 1f 1 1deadbeef 4",
+            "snap_push 1f 4294967296 aa 2\ncafe\n",
+            "snap_push 1f 1 1deadbeef 2\ncafe\n",
+            // Unicode-only separators do not split fields.
+            "open\u{a0}r 1 coord 3",
+            "check_pose 1\nmotion S1 1 1\npose\u{b}0.0\ncdq 0 0 0 0 0 1 1\n",
+            "check_motion\u{a0}1 1\nmotion S1 1 1\npose 0.0\ncdq 0 0 0 0 0 1 1\n",
         ] {
             assert!(Request::from_text(bad).is_err(), "{bad:?}");
         }
+        // The largest u32 values still parse.
+        let max = Request::Open {
+            robot: "r".into(),
+            link_count: u32::MAX,
+            mode: SchedMode::Coord,
+            seed: 3,
+            fp: None,
+        };
+        assert_eq!(
+            Request::from_text("open r 4294967295 coord 3").unwrap(),
+            max
+        );
+        let push = Request::SnapPush {
+            fp: 0x1f,
+            version: u32::MAX,
+            crc: u32::MAX,
+            payload: vec![0xca, 0xfe],
+        };
+        assert_eq!(
+            Request::from_text("snap_push 1f 4294967295 ffffffff 2\ncafe\n").unwrap(),
+            push
+        );
     }
 
     #[test]

@@ -10,6 +10,23 @@
 //! Traces serialize to a line-oriented text format (dependency-free) so
 //! suites can be generated once and replayed by many harnesses.
 //!
+//! ## Text grammar
+//!
+//! ```text
+//! query <robot> <link_count>                      (trace files only)
+//! motion <S1|S2> <n_poses> <n_cdqs>
+//! pose <q_0> <q_1> ...                            n_poses lines
+//! cdq <pose_idx> <link_idx> <x> <y> <z> <0|1> <obstacle_tests>   n_cdqs lines
+//! ```
+//!
+//! Lines end in `\n` (a trailing `\r` is tolerated). Fields are
+//! separated by runs of ASCII whitespace (space, `\t`, `\x0C`, `\r`);
+//! other Unicode separators such as U+00A0 or U+000B are not separators,
+//! so a field containing one fails to parse. The encoder writes one space
+//! between fields, integers in plain decimal, and every float exactly as
+//! `format!("{v:.17e}")` does (18 significant digits, round-trip exact);
+//! the decoder reads floats with `str::parse::<f64>`.
+//!
 //! ## Example
 //!
 //! ```
@@ -103,35 +120,37 @@ impl MotionTrace {
     }
 
     /// Appends this motion's `motion` block to `out`.
+    ///
+    /// Floats are written byte-for-byte as `format!("{v:.17e}")` would
+    /// write them, without going through `fmt` for the common case.
     pub fn write_text(&self, out: &mut String) {
-        writeln!(
-            out,
-            "motion {} {} {}",
-            self.stage.label(),
-            self.poses.len(),
-            self.cdqs.len()
-        )
-        .expect("string write");
+        out.push_str("motion ");
+        out.push_str(self.stage.label());
+        out.push(' ');
+        push_u64(out, self.poses.len() as u64);
+        out.push(' ');
+        push_u64(out, self.cdqs.len() as u64);
+        out.push('\n');
         for p in &self.poses {
-            write!(out, "pose").expect("string write");
-            for v in p.values() {
-                write!(out, " {v:.17e}").expect("string write");
+            out.push_str("pose");
+            for &v in p.values() {
+                out.push(' ');
+                push_sci17(out, v);
             }
-            writeln!(out).expect("string write");
+            out.push('\n');
         }
         for c in &self.cdqs {
-            writeln!(
-                out,
-                "cdq {} {} {:.17e} {:.17e} {:.17e} {} {}",
-                c.pose_idx,
-                c.link_idx,
-                c.center.x,
-                c.center.y,
-                c.center.z,
-                u8::from(c.colliding),
-                c.obstacle_tests
-            )
-            .expect("string write");
+            out.push_str("cdq ");
+            push_u64(out, c.pose_idx.into());
+            out.push(' ');
+            push_u64(out, c.link_idx.into());
+            for v in [c.center.x, c.center.y, c.center.z] {
+                out.push(' ');
+                push_sci17(out, v);
+            }
+            out.push_str(if c.colliding { " 1 " } else { " 0 " });
+            push_u64(out, c.obstacle_tests.into());
+            out.push('\n');
         }
     }
 
@@ -282,7 +301,7 @@ impl QueryTrace {
         let (ln, header) = lines
             .next()
             .ok_or_else(|| TraceParseError::at(0, "empty trace"))?;
-        let mut h = header.split_whitespace();
+        let mut h = header.split_ascii_whitespace();
         if h.next() != Some("query") {
             return Err(TraceParseError::at(ln, "expected 'query' header"));
         }
@@ -323,7 +342,7 @@ pub fn parse_motion_block<'a>(
     lines: &mut impl Iterator<Item = (usize, &'a str)>,
 ) -> Result<MotionTrace, TraceParseError> {
     let ln = header_ln;
-    let mut f = header.split_whitespace();
+    let mut f = header.split_ascii_whitespace();
     if f.next() != Some("motion") {
         return Err(TraceParseError::at(ln, "expected 'motion' line"));
     }
@@ -344,16 +363,24 @@ pub fn parse_motion_block<'a>(
         ));
     }
     let mut poses = Vec::with_capacity(n_poses);
+    // Poses of one motion share a DOF count: size each from the last.
+    let mut dof_hint = 0;
     for _ in 0..n_poses {
         let (ln, line) = lines
             .next()
             .ok_or_else(|| TraceParseError::at(ln, "truncated pose block"))?;
-        let mut f = line.split_whitespace();
+        let mut f = line.split_ascii_whitespace();
         if f.next() != Some("pose") {
             return Err(TraceParseError::at(ln, "expected 'pose' line"));
         }
-        let vals: Result<Vec<f64>, _> = f.map(str::parse).collect();
-        let vals = vals.map_err(|_| TraceParseError::at(ln, "bad pose value"))?;
+        let mut vals = Vec::with_capacity(dof_hint);
+        for tok in f {
+            vals.push(
+                tok.parse()
+                    .map_err(|_| TraceParseError::at(ln, "bad pose value"))?,
+            );
+        }
+        dof_hint = vals.len();
         poses.push(Config::new(vals));
     }
     let mut cdqs = Vec::with_capacity(n_cdqs);
@@ -361,7 +388,7 @@ pub fn parse_motion_block<'a>(
         let (ln, line) = lines
             .next()
             .ok_or_else(|| TraceParseError::at(ln, "truncated cdq block"))?;
-        let mut f = line.split_whitespace();
+        let mut f = line.split_ascii_whitespace();
         if f.next() != Some("cdq") {
             return Err(TraceParseError::at(ln, "expected 'cdq' line"));
         }
@@ -403,6 +430,138 @@ fn parse_field<T: std::str::FromStr>(
         .map_err(|_| TraceParseError::at(line, format!("bad {what}")))
 }
 
+/// Appends the decimal digits of `n`, as `write!(out, "{n}")` would.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
+}
+
+/// `10^k` for `k` in `0..=22`; `10^22 < 2^74`, so `m * 10^k` for a 53-bit
+/// mantissa `m` and `k <= 22` fits in a `u128`.
+const POW10: [u128; 23] = {
+    let mut t = [1u128; 23];
+    let mut k = 1;
+    while k < t.len() {
+        t[k] = t[k - 1] * 10;
+        k += 1;
+    }
+    t
+};
+
+/// "00" through "99": the decimal digit pairs.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Writes `n < 100` as two digits.
+fn put2(dst: &mut [u8], n: u32) {
+    let i = 2 * n as usize;
+    dst.copy_from_slice(&DIGIT_PAIRS[i..i + 2]);
+}
+
+/// Writes `n < 10^8` as eight digits, zero-padded.
+fn put8(dst: &mut [u8], n: u32) {
+    let (hi, lo) = (n / 10_000, n % 10_000);
+    put2(&mut dst[..2], hi / 100);
+    put2(&mut dst[2..4], hi % 100);
+    put2(&mut dst[4..6], lo / 100);
+    put2(&mut dst[6..], lo % 100);
+}
+
+/// Appends `v` exactly as `write!(out, "{v:.17e}")` would: 18 significant
+/// digits, rounded half-to-even on the exact binary value, and an
+/// unpadded exponent (`e-1`, `e0`, `e16`).
+///
+/// Normal values with `1e-5 <= |v| < 2^53` (the range of the joint angles
+/// and link-center coordinates a motion block carries) are formatted in
+/// integer arithmetic:
+/// `|v| = m * 2^-s` with `s` in `0..=69`, so the 18 digits are
+/// `m * 10^(17 - d) >> s` for the decimal exponent `d` in `-5..=15`. Every
+/// other value — ±0, subnormals, ±inf, NaN, `|v| >= 2^53` and
+/// `|v| < 1e-5` — goes to `fmt`, which is the specification the fast path
+/// reproduces.
+fn push_sci17(out: &mut String, v: f64) {
+    let a = v.abs();
+    if !(1e-5..9_007_199_254_740_992.0).contains(&a) {
+        write!(out, "{v:.17e}").expect("string write");
+        return;
+    }
+    let bits = a.to_bits();
+    let biased = (bits >> 52) as i32;
+    let m = u128::from((bits & ((1 << 52) - 1)) | (1 << 52));
+    let shift = (1075 - biased) as u32;
+    // floor(log2 |v|) * 1233 / 4096 never exceeds floor(log10 |v|), and
+    // `|v| > 10^-5` bounds it below, so `d` only ever needs to grow.
+    let mut d = (((biased - 1023) * 1233) >> 12).max(-5);
+    let (mut q, rem) = loop {
+        let p = m * POW10[(17 - d) as usize];
+        let q = p >> shift;
+        debug_assert!(q >= POW10[17], "decimal exponent overestimated");
+        if q < POW10[18] {
+            break (q, p - (q << shift));
+        }
+        d += 1;
+    };
+    if shift > 0 {
+        let half = 1u128 << (shift - 1);
+        if rem > half || (rem == half && q & 1 == 1) {
+            q += 1;
+        }
+    }
+    if q == POW10[18] {
+        q = POW10[17];
+        d += 1;
+    }
+    // 18 digits, as 2 + 8 + 8 written two at a time from independent
+    // quotients so no long divide-by-ten chain serializes them.
+    let q = q as u64;
+    let r = q % 10_000_000_000_000_000;
+    let mut digits = [0u8; 18];
+    put2(&mut digits[..2], (q / 10_000_000_000_000_000) as u32);
+    put8(&mut digits[2..10], (r / 100_000_000) as u32);
+    put8(&mut digits[10..], (r % 100_000_000) as u32);
+    // Sign, d.ddddddddddddddddd, 'e', exponent sign, two exponent digits.
+    let mut buf = [0u8; 24];
+    let mut n = 0;
+    if v < 0.0 {
+        buf[n] = b'-';
+        n += 1;
+    }
+    buf[n] = digits[0];
+    buf[n + 1] = b'.';
+    buf[n + 2..n + 19].copy_from_slice(&digits[1..]);
+    buf[n + 19] = b'e';
+    n += 20;
+    if d < 0 {
+        buf[n] = b'-';
+        n += 1;
+    }
+    let e = d.unsigned_abs();
+    if e >= 10 {
+        buf[n] = b'0' + (e / 10) as u8;
+        n += 1;
+    }
+    buf[n] = b'0' + (e % 10) as u8;
+    n += 1;
+    out.push_str(std::str::from_utf8(&buf[..n]).expect("ascii digits"));
+}
+
 /// Error describing a malformed trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceParseError {
@@ -441,7 +600,7 @@ mod tests {
     use copred_kinematics::{presets, Motion};
     use copred_planners::{PlanContext, Planner, Rrt};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_trace() -> (Robot, Environment, QueryTrace) {
         let robot: Robot = presets::planar_2d().into();
@@ -558,6 +717,118 @@ mod tests {
         with_junk.push_str("junk line\n");
         assert!(MotionTrace::from_text(&with_junk).is_err());
         assert!(MotionTrace::from_text("").is_err());
+    }
+
+    fn assert_sci17_matches_fmt(v: f64, buf: &mut String) {
+        buf.clear();
+        push_sci17(buf, v);
+        assert_eq!(*buf, format!("{v:.17e}"), "bits {:#018x}", v.to_bits());
+    }
+
+    #[test]
+    fn sci17_edge_cases_match_fmt() {
+        let mut buf = String::new();
+        let mut cases = vec![
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            9_007_199_254_740_992.0,
+            1e-5,
+            // Exact ties after the 18th digit round half-to-even:
+            // 1.00000381469726562|5 (down), 1.00001144409179687|5 (up),
+            // 10.0000076293945312|5 (down).
+            1.0 + 2f64.powi(-18),
+            1.0 + 3.0 * 2f64.powi(-18),
+            10.0 + 2f64.powi(-17),
+        ];
+        for k in -6..=18 {
+            let p: f64 = format!("1e{k}").parse().unwrap();
+            cases.extend([p, p.next_down(), p.next_up()]);
+        }
+        for v in cases {
+            assert_sci17_matches_fmt(v, &mut buf);
+            assert_sci17_matches_fmt(-v, &mut buf);
+        }
+    }
+
+    #[test]
+    fn sci17_matches_fmt_on_seeded_values() {
+        // 1M values: raw bit patterns (every class, every exponent) plus
+        // the ranges the wire carries — joint angles, small offsets, and
+        // values past 2^53 where the fast path hands over to `fmt`.
+        let mut rng = StdRng::seed_from_u64(0x5C17);
+        let mut buf = String::new();
+        for _ in 0..250_000 {
+            let bits = f64::from_bits(rng.gen::<u64>());
+            let rad = rng.gen_range(-3.0..3.0);
+            let small = rng.gen_range(-1e-4..1e-4);
+            let big = rng.gen_range(-1e16..1e16);
+            for v in [bits, rad, small, big] {
+                assert_sci17_matches_fmt(v, &mut buf);
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_bytes_match_fmt_encoder() {
+        // The hand-written encoder emits exactly what the `fmt` one did.
+        let (_, _, trace) = sample_trace();
+        for m in &trace.motions {
+            let mut want = format!(
+                "motion {} {} {}\n",
+                m.stage.label(),
+                m.poses.len(),
+                m.cdqs.len()
+            );
+            for p in &m.poses {
+                want.push_str("pose");
+                for v in p.values() {
+                    write!(want, " {v:.17e}").unwrap();
+                }
+                want.push('\n');
+            }
+            for c in &m.cdqs {
+                writeln!(
+                    want,
+                    "cdq {} {} {:.17e} {:.17e} {:.17e} {} {}",
+                    c.pose_idx,
+                    c.link_idx,
+                    c.center.x,
+                    c.center.y,
+                    c.center.z,
+                    u8::from(c.colliding),
+                    c.obstacle_tests
+                )
+                .unwrap();
+            }
+            assert_eq!(m.to_text(), want);
+        }
+    }
+
+    #[test]
+    fn unicode_separators_are_located_errors() {
+        // Only ASCII whitespace separates fields: U+00A0 and U+000B are
+        // not separators, so the line fails to parse and the error names it.
+        for sep in ['\u{a0}', '\u{b}'] {
+            let cdq = format!("motion S1 1 1\npose 0.0\ncdq 0 0 0 0 0{sep}1 1\n");
+            let err = MotionTrace::from_text(&cdq).unwrap_err();
+            assert_eq!(err.line, 2, "{err}");
+            let pose = format!("motion S1 1 1\npose 0.0{sep}0.5\ncdq 0 0 0 0 0 1 1\n");
+            let err = MotionTrace::from_text(&pose).unwrap_err();
+            assert_eq!(err.line, 1, "{err}");
+            assert!(err.message.contains("pose"), "{err}");
+            let head = format!("motion{sep}S1 1 1\npose 0.0\ncdq 0 0 0 0 0 1 1\n");
+            let err = MotionTrace::from_text(&head).unwrap_err();
+            assert_eq!(err.line, 0, "{err}");
+            let query = format!("query r{sep}1\n");
+            assert!(QueryTrace::from_text(&query).is_err());
+        }
+        // ASCII whitespace runs (tabs, form feeds, CRLF) still separate.
+        let ok = "motion\tS1  1 1\r\npose\x0c0.0\ncdq 0 0 0 0 0 1 1\n";
+        assert_eq!(MotionTrace::from_text(ok).unwrap().cdqs.len(), 1);
     }
 
     #[test]
