@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the hot kernels behind every figure:
 //! COORD/POSE hashing, CHT lookups/updates, the OBB SAT test, forward
-//! kinematics, end-to-end motion checks with and without prediction, and
-//! the motion-block text codec every wire request carries.
+//! kinematics, end-to-end motion checks with and without prediction, the
+//! motion-block text codec every wire request carries, and the service's
+//! batch executor behind it.
 
 use copred_collision::{check_motion_scheduled, Environment, Schedule};
 use copred_core::hash::CollisionHash;
@@ -222,6 +223,51 @@ fn bench_motion_block_codec(c: &mut Criterion) {
     });
 }
 
+fn bench_execute_batch(c: &mut Criterion) {
+    use copred_planners::{MotionRecord, PlanLog, Stage};
+    use copred_service::{execute_batch, SchedMode, SessionRegistry};
+    use copred_trace::QueryTrace;
+
+    // One wire batch: 8 seven-DOF motions of 6 poses (42 CDQs each),
+    // checked on a Coord session whose table has already learned them.
+    let robot: Robot = presets::kuka_iiwa().into();
+    let env = Environment::new(
+        robot.workspace(),
+        vec![Aabb::from_center_half_extents(
+            Vec3::new(0.45, 0.1, 0.45),
+            Vec3::splat(0.22),
+        )],
+    );
+    let mut rng = StdRng::seed_from_u64(6);
+    let records = (0..8)
+        .map(|_| {
+            let poses = Motion::new(
+                robot.sample_uniform(&mut rng),
+                robot.sample_uniform(&mut rng),
+            )
+            .discretize(6);
+            let colliding = copred_collision::motion_collides(&robot, &env, &poses);
+            MotionRecord {
+                poses,
+                stage: Stage::Explore,
+                colliding,
+            }
+        })
+        .collect();
+    let trace = QueryTrace::from_log(&robot, &env, &PlanLog { records });
+    let registry = SessionRegistry::new(ChtParams::paper_arm(), 1);
+    let (session, _) = registry
+        .open("kuka-iiwa", SchedMode::Coord, 7)
+        .expect("open session");
+    let step = Schedule::DEFAULT_CSP_STEP;
+    for _ in 0..4 {
+        let _ = execute_batch(&session, &trace.motions, step);
+    }
+    c.bench_function("execute_batch", |b| {
+        b.iter(|| black_box(execute_batch(&session, black_box(&trace.motions), step)))
+    });
+}
+
 fn bench_scene_generation(c: &mut Criterion) {
     let robot: Robot = presets::planar_2d().into();
     let mut rng = StdRng::seed_from_u64(4);
@@ -246,6 +292,7 @@ criterion_group!(
     bench_motion_check,
     bench_accel_sim,
     bench_motion_block_codec,
+    bench_execute_batch,
     bench_scene_generation
 );
 criterion_main!(benches);

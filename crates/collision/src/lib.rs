@@ -36,6 +36,6 @@ pub use cdq::{
 };
 pub use environment::Environment;
 pub use schedule::{
-    check_motion_scheduled, run_predicted_schedule, run_schedule, CdqPredictor, MotionCheckOutcome,
-    Schedule,
+    check_motion_scheduled, run_predicted_schedule, run_predicted_schedule_with, run_schedule,
+    CdqPredictor, MotionCheckOutcome, Schedule, ScheduleScratch,
 };

@@ -12,7 +12,7 @@
 
 use crate::cdq::CdqInfo;
 use crate::environment::Environment;
-use copred_kinematics::{csp_order, Config, Robot};
+use copred_kinematics::{Config, Robot};
 
 /// A CDQ ordering policy for motion checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +73,7 @@ pub struct MotionCheckOutcome {
 pub fn run_schedule(cdqs: &[CdqInfo], n_poses: usize, schedule: Schedule) -> MotionCheckOutcome {
     let total = cdqs.len();
     let colliding = cdqs.iter().any(|c| c.colliding);
+    let mut scratch = ScheduleScratch::default();
     match schedule {
         Schedule::Oracle => {
             if colliding {
@@ -88,16 +89,17 @@ pub fn run_schedule(cdqs: &[CdqInfo], n_poses: usize, schedule: Schedule) -> Mot
                 exhaust_all(cdqs)
             }
         }
-        Schedule::Naive => execute_order(cdqs, pose_order_indices(cdqs, n_poses, 1)),
-        Schedule::Csp { step } => execute_order(cdqs, pose_order_indices(cdqs, n_poses, step)),
+        // Depth 1 is plain sequential execution with early exit.
+        Schedule::Naive => execute_batched(cdqs, scratch.pose_order(cdqs, n_poses, 1), 1),
+        Schedule::Csp { step } => execute_batched(cdqs, scratch.pose_order(cdqs, n_poses, step), 1),
         Schedule::Speculative { depth } => {
-            execute_batched(cdqs, pose_order_indices(cdqs, n_poses, 1), depth.max(1))
+            execute_batched(cdqs, scratch.pose_order(cdqs, n_poses, 1), depth.max(1))
         }
     }
 }
 
 /// Early exit only between batches of `depth` in-flight CDQs (speculation).
-fn execute_batched(cdqs: &[CdqInfo], order: Vec<usize>, depth: usize) -> MotionCheckOutcome {
+fn execute_batched(cdqs: &[CdqInfo], order: &[usize], depth: usize) -> MotionCheckOutcome {
     let mut executed = 0;
     let mut tests = 0;
     for batch in order.chunks(depth) {
@@ -124,44 +126,41 @@ fn execute_batched(cdqs: &[CdqInfo], order: Vec<usize>, depth: usize) -> MotionC
     }
 }
 
-/// Builds the CDQ visit order for a pose-level stride: poses visited in
-/// [`csp_order`], links sequentially within each pose.
-fn pose_order_indices(cdqs: &[CdqInfo], n_poses: usize, step: usize) -> Vec<usize> {
-    // Start offset of each pose's CDQ block.
-    let mut starts = vec![0usize; n_poses + 1];
-    for c in cdqs {
-        starts[c.pose_idx + 1] += 1;
-    }
-    for i in 0..n_poses {
-        starts[i + 1] += starts[i];
-    }
-    let mut order = Vec::with_capacity(cdqs.len());
-    for p in csp_order(n_poses, step) {
-        order.extend(starts[p]..starts[p + 1]);
-    }
-    order
+/// Reusable buffers for [`run_predicted_schedule_with`]: a caller that
+/// schedules many motions keeps one and allocates only while the buffers
+/// grow to the largest motion seen.
+#[derive(Debug, Default)]
+pub struct ScheduleScratch {
+    /// Start offset of each pose's CDQ block (`n_poses + 1` entries).
+    starts: Vec<usize>,
+    /// The CDQ visit order.
+    order: Vec<usize>,
+    /// Predicted-free CDQs, deferred behind the predicted-colliding ones.
+    deferred: Vec<usize>,
 }
 
-fn execute_order(cdqs: &[CdqInfo], order: Vec<usize>) -> MotionCheckOutcome {
-    let mut executed = 0;
-    let mut tests = 0;
-    for i in order {
-        executed += 1;
-        tests += cdqs[i].obstacle_tests;
-        if cdqs[i].colliding {
-            return MotionCheckOutcome {
-                colliding: true,
-                cdqs_executed: executed,
-                cdqs_total: cdqs.len(),
-                obstacle_tests: tests,
-            };
+impl ScheduleScratch {
+    /// Writes the CDQ visit order for a pose-level stride: poses in the CSP
+    /// order of [`copred_kinematics::csp_order`] (any stride <= 1 is the
+    /// identity), links sequentially within each pose.
+    fn pose_order(&mut self, cdqs: &[CdqInfo], n_poses: usize, step: usize) -> &[usize] {
+        let starts = &mut self.starts;
+        starts.clear();
+        starts.resize(n_poses + 1, 0);
+        for c in cdqs {
+            starts[c.pose_idx + 1] += 1;
         }
-    }
-    MotionCheckOutcome {
-        colliding: false,
-        cdqs_executed: executed,
-        cdqs_total: cdqs.len(),
-        obstacle_tests: tests,
+        for i in 0..n_poses {
+            starts[i + 1] += starts[i];
+        }
+        self.order.clear();
+        let step = step.max(1);
+        for offset in 0..step.min(n_poses) {
+            for p in (offset..n_poses).step_by(step) {
+                self.order.extend(starts[p]..starts[p + 1]);
+            }
+        }
+        &self.order
     }
 }
 
@@ -179,11 +178,18 @@ fn exhaust_all(cdqs: &[CdqInfo]) -> MotionCheckOutcome {
 /// lookup/update pair (Algorithm 1), decoupled from any concrete hash or
 /// table so replay harnesses and servers can plug in shared, per-session,
 /// or mock predictors.
+///
+/// Both calls carry the CDQ's position `i` in the scheduled slice. For the
+/// length of one schedule that position is the CDQ's identity: a predictor
+/// can keep per-CDQ state (a precomputed hash code, the prediction awaiting
+/// its outcome) in a plain `Vec` indexed by `i`. Positions never repeat, so
+/// a malformed slice that repeats a `(pose_idx, link_idx)` pair cannot make
+/// two CDQs share that state, as keying on the pair would.
 pub trait CdqPredictor {
-    /// Predicts whether `cdq` will collide.
-    fn predict(&mut self, cdq: &CdqInfo) -> bool;
-    /// Records an executed CDQ's ground-truth outcome.
-    fn observe(&mut self, cdq: &CdqInfo, colliding: bool);
+    /// Predicts whether `cdq`, at position `i` of the slice, will collide.
+    fn predict(&mut self, i: usize, cdq: &CdqInfo) -> bool;
+    /// Records the ground-truth outcome of the executed CDQ at position `i`.
+    fn observe(&mut self, i: usize, cdq: &CdqInfo, colliding: bool);
 }
 
 /// Algorithm 1 over a pre-enumerated CDQ list: the predictor-ordered
@@ -206,49 +212,57 @@ pub fn run_predicted_schedule(
     csp_step: usize,
     predictor: &mut dyn CdqPredictor,
 ) -> MotionCheckOutcome {
-    let total = cdqs.len();
-    let mut executed = 0usize;
-    let mut tests = 0usize;
-    let mut queue: Vec<usize> = Vec::new();
-    let order = pose_order_indices(cdqs, n_poses, csp_step.max(1));
-    for i in order {
-        let cdq = &cdqs[i];
-        if predictor.predict(cdq) {
-            executed += 1;
-            tests += cdq.obstacle_tests;
-            predictor.observe(cdq, cdq.colliding);
-            if cdq.colliding {
-                return MotionCheckOutcome {
-                    colliding: true,
-                    cdqs_executed: executed,
-                    cdqs_total: total,
-                    obstacle_tests: tests,
-                };
-            }
-        } else {
-            queue.push(i);
-        }
-    }
-    for i in queue {
-        let cdq = &cdqs[i];
-        executed += 1;
-        tests += cdq.obstacle_tests;
-        predictor.observe(cdq, cdq.colliding);
-        if cdq.colliding {
-            return MotionCheckOutcome {
-                colliding: true,
-                cdqs_executed: executed,
-                cdqs_total: total,
-                obstacle_tests: tests,
-            };
-        }
-    }
-    MotionCheckOutcome {
+    let mut scratch = ScheduleScratch::default();
+    run_predicted_schedule_with(cdqs, n_poses, csp_step, predictor, &mut scratch)
+}
+
+/// [`run_predicted_schedule`] with caller-owned buffers: once `scratch`
+/// has grown to the largest motion, a schedule allocates nothing.
+///
+/// # Panics
+///
+/// As [`run_predicted_schedule`].
+pub fn run_predicted_schedule_with(
+    cdqs: &[CdqInfo],
+    n_poses: usize,
+    csp_step: usize,
+    predictor: &mut dyn CdqPredictor,
+    scratch: &mut ScheduleScratch,
+) -> MotionCheckOutcome {
+    scratch.pose_order(cdqs, n_poses, csp_step);
+    let ScheduleScratch {
+        order, deferred, ..
+    } = scratch;
+    deferred.clear();
+    deferred.reserve(order.len());
+    let mut out = MotionCheckOutcome {
         colliding: false,
-        cdqs_executed: executed,
-        cdqs_total: total,
-        obstacle_tests: tests,
+        cdqs_executed: 0,
+        cdqs_total: cdqs.len(),
+        obstacle_tests: 0,
+    };
+    // Executes the CDQ at `i`; true on a hit, which ends the check.
+    let mut execute = |i: usize, predictor: &mut dyn CdqPredictor| {
+        let cdq = &cdqs[i];
+        out.cdqs_executed += 1;
+        out.obstacle_tests += cdq.obstacle_tests;
+        out.colliding = cdq.colliding;
+        predictor.observe(i, cdq, cdq.colliding);
+        cdq.colliding
+    };
+    for &i in order.iter() {
+        if !predictor.predict(i, &cdqs[i]) {
+            deferred.push(i);
+        } else if execute(i, predictor) {
+            return out;
+        }
     }
+    for &i in deferred.iter() {
+        if execute(i, predictor) {
+            return out;
+        }
+    }
+    out
 }
 
 /// Convenience: discretize, enumerate, and run one scheduled motion check.
@@ -395,12 +409,11 @@ mod tests {
 
     #[test]
     fn raw_and_clamped_stride_zero_produce_the_same_order() {
-        // `run_schedule` passes `Csp { step }` through raw while
-        // `run_predicted_schedule` clamps with `csp_step.max(1)`. The two
-        // agree only because `csp_order` already returns the identity for
-        // any step <= 1 — pin that at the order level (not just outcome
-        // level) so a future `csp_order` change cannot silently split the
-        // two entry points. Non-bug finding recorded in EXPERIMENTS.md.
+        // Both entry points pass a client's raw stride to the pose order,
+        // which treats any step <= 1 as the identity, as `csp_order` does.
+        // Pin that at the order level (not just outcome level) so stride 0
+        // cannot drift from stride 1. Non-bug finding recorded in
+        // EXPERIMENTS.md.
         for counts in [vec![1usize, 2, 3], vec![4, 0, 1, 2], vec![2; 9]] {
             let cdqs: Vec<CdqInfo> = counts
                 .iter()
@@ -452,6 +465,36 @@ mod tests {
             let out = run_predicted_schedule(&cdqs, 1, 5, &mut cold);
             assert_eq!(out.colliding, truth);
             assert_eq!(cold.observed, out.cdqs_executed);
+        }
+    }
+
+    fn pose_order_indices(cdqs: &[CdqInfo], n_poses: usize, step: usize) -> Vec<usize> {
+        ScheduleScratch::default()
+            .pose_order(cdqs, n_poses, step)
+            .to_vec()
+    }
+
+    #[test]
+    fn pose_order_follows_csp_order_and_reuses_scratch() {
+        // The visit order is written straight into the scratch buffer; it
+        // must stay the pose-block expansion of `csp_order`, including when
+        // one scratch serves motions of different shapes in turn.
+        let mut scratch = ScheduleScratch::default();
+        for counts in [vec![2usize, 0, 3, 1, 0, 4, 1], vec![1; 17], vec![3], vec![]] {
+            let cdqs: Vec<CdqInfo> = counts
+                .iter()
+                .enumerate()
+                .flat_map(|(p, &k)| (0..k).map(move |_| synth_cdq(p)))
+                .collect();
+            for step in [0usize, 1, 2, 3, 5, 100] {
+                let cdqs = &cdqs;
+                let expected: Vec<usize> = copred_kinematics::csp_order(counts.len(), step)
+                    .into_iter()
+                    .flat_map(|p| (0..cdqs.len()).filter(move |&i| cdqs[i].pose_idx == p))
+                    .collect();
+                let got = scratch.pose_order(cdqs, counts.len(), step);
+                assert_eq!(got, expected.as_slice(), "counts={counts:?} step={step}");
+            }
         }
     }
 
@@ -521,10 +564,10 @@ mod tests {
     }
 
     impl CdqPredictor for FixedPredictor {
-        fn predict(&mut self, cdq: &CdqInfo) -> bool {
+        fn predict(&mut self, _i: usize, cdq: &CdqInfo) -> bool {
             self.hot.contains(&cdq.pose_idx)
         }
-        fn observe(&mut self, _cdq: &CdqInfo, _colliding: bool) {
+        fn observe(&mut self, _i: usize, _cdq: &CdqInfo, _colliding: bool) {
             self.observed += 1;
         }
     }

@@ -55,8 +55,9 @@ pub use profile::{
 };
 pub use prom::{parse_prometheus, PromBuf, PromSample};
 pub use span::{
-    counter, disable, drain_events, dropped_events, enable, enabled, instant, span, span_at,
-    timestamp_ns, Collector, Event, EventKind, SpanGuard,
+    counter, disable, drain_events, dropped_events, enable, enabled, instant, retain_events,
+    retained_events, span, span_at, timestamp_ns, Collector, Event, EventKind, SpanGuard,
+    RETAINED_EVENTS,
 };
 pub use tracectx::{current_trace, set_current_trace, TraceId, TraceScope};
 pub use vclock::{TrackId, VEvent, VEventKind, VirtualTrace};

@@ -13,6 +13,7 @@
 
 use crate::threadreg::ThreadRegistry;
 use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -342,6 +343,40 @@ pub fn drain_events() -> Vec<Event> {
     out
 }
 
+/// Events [`retain_events`] keeps for dump export; the oldest are trimmed
+/// first.
+pub const RETAINED_EVENTS: usize = 1 << 16;
+
+/// The process-wide retention buffer behind [`retain_events`].
+static RETAINED: Mutex<VecDeque<Event>> = Mutex::new(VecDeque::new());
+
+/// Drains every thread's ring into the process-wide retention buffer,
+/// keeping the newest [`RETAINED_EVENTS`].
+///
+/// The rings are process-global, so their retention is too: every
+/// consumer that retains (several servers in one process, say) adds to
+/// and reads from the same buffer, and none can take spans another needs
+/// for its dump. A private buffer filled by [`drain_events`] would lose
+/// to any other drainer the events it raced for.
+pub fn retain_events() {
+    let batch = drain_events();
+    if batch.is_empty() {
+        return;
+    }
+    let mut buf = RETAINED.lock().expect("span retention lock");
+    buf.extend(batch);
+    let excess = buf.len().saturating_sub(RETAINED_EVENTS);
+    buf.drain(..excess);
+}
+
+/// A sequence-ordered copy of the retention buffer, after a final
+/// [`retain_events`].
+pub fn retained_events() -> Vec<Event> {
+    retain_events();
+    let buf = RETAINED.lock().expect("span retention lock");
+    buf.iter().copied().collect()
+}
+
 /// Total events dropped to full rings since process start.
 pub fn dropped_events() -> u64 {
     let mut live = 0u64;
@@ -437,6 +472,24 @@ mod tests {
             .expect("span recorded");
         assert_eq!(ev.kind, EventKind::Span);
         assert!(ev.dur_ns >= 1_000_000, "dur {} too short", ev.dur_ns);
+    }
+
+    #[test]
+    fn retention_is_shared_by_every_retaining_consumer() {
+        let _s = serial();
+        enable();
+        let _ = drain_events();
+        span_at("test", "retained_a", 1, 1);
+        // A second consumer's retention pass takes the event off the ring;
+        // the first consumer's export still sees it.
+        retain_events();
+        span_at("test", "retained_b", 2, 1);
+        let names: Vec<&str> = retained_events().iter().map(|e| e.name).collect();
+        let (a, b) = (
+            names.iter().position(|n| *n == "retained_a"),
+            names.iter().position(|n| *n == "retained_b"),
+        );
+        assert!(matches!((a, b), (Some(a), Some(b)) if a < b), "{names:?}");
     }
 
     #[test]

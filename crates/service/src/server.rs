@@ -11,9 +11,9 @@
 
 use crate::metrics::Metrics;
 use crate::prom::render_prometheus;
-use crate::protocol::{CheckResult, Request, Response, SchedMode, ServiceError};
-use crate::session::{ChtPredictor, SessionRegistry, SessionState, TimedPredictor};
-use copred_collision::{run_predicted_schedule, run_schedule, Schedule};
+use crate::protocol::{CheckResult, Request, Response, ServiceError};
+use crate::session::{execute_batch, SessionRegistry, SessionState};
+use copred_collision::Schedule;
 use copred_core::ChtParams;
 use copred_obs::{stage, Stage, TraceId, TraceScope};
 use copred_trace::frame::{read_text_frame, write_text_frame};
@@ -163,19 +163,12 @@ impl JobQueue {
     }
 }
 
-/// Spans retained for dump export when `trace_dump` is set (events; the
-/// oldest are trimmed first).
-const SPAN_RETENTION: usize = 1 << 16;
-
 /// State shared by the accept loop, connection handlers, and workers.
 struct Shared {
     registry: SessionRegistry,
     metrics: Metrics,
     queue: JobQueue,
     config: ServerConfig,
-    /// Recent span events, retained by the drain thread when `trace_dump`
-    /// is set; `None` otherwise.
-    spans: Option<Mutex<VecDeque<copred_obs::Event>>>,
     /// Monotonic dump file counter (`flight-<n>.json` / `trace-<n>.json`).
     dump_seq: AtomicU64,
     /// Milliseconds since `started` of the last auto-dump plus one
@@ -216,23 +209,6 @@ fn maybe_auto_dump(shared: &Shared) {
     }
 }
 
-/// Pulls freshly recorded spans into the bounded retention buffer. Called
-/// by the retention thread and before every dump export.
-fn retain_spans(shared: &Shared) {
-    let Some(spans) = &shared.spans else {
-        return;
-    };
-    let batch = copred_obs::drain_events();
-    if batch.is_empty() {
-        return;
-    }
-    let mut buf = spans.lock().expect("span retention lock");
-    buf.extend(batch);
-    while buf.len() > SPAN_RETENTION {
-        buf.pop_front();
-    }
-}
-
 /// Dumps the flight recorder (and, with `trace_dump` set, the retained
 /// spans as a Chrome trace with a self-profile section plus the folded
 /// stacks as `profile-<n>.folded`) and returns the number of flight
@@ -248,23 +224,19 @@ fn dump_flight(shared: &Shared, auto: bool) -> u64 {
         shared.metrics.flight_dumps.fetch_add(1, Ordering::Relaxed);
     }
     if let Some(dir) = shared.config.trace_dump.as_deref() {
-        retain_spans(shared);
         let n = shared.dump_seq.fetch_add(1, Ordering::Relaxed);
         let _ = std::fs::create_dir_all(dir);
         let flight_path = std::path::Path::new(dir).join(format!("flight-{n}.json"));
         let _ = std::fs::write(flight_path, copred_obs::flight_json(&entries));
         let profile = current_profile(shared);
-        if let Some(spans) = &shared.spans {
-            let events: Vec<copred_obs::Event> = {
-                let buf = spans.lock().expect("span retention lock");
-                buf.iter().copied().collect()
-            };
-            let trace_path = std::path::Path::new(dir).join(format!("trace-{n}.json"));
-            let _ = std::fs::write(
-                trace_path,
-                copred_obs::chrome_trace_json_with_profile(&events, &profile),
-            );
-        }
+        // Retention is process-wide: another server in this process may
+        // have drained this one's spans, into the same buffer.
+        let events = copred_obs::retained_events();
+        let trace_path = std::path::Path::new(dir).join(format!("trace-{n}.json"));
+        let _ = std::fs::write(
+            trace_path,
+            copred_obs::chrome_trace_json_with_profile(&events, &profile),
+        );
         let folded_path = std::path::Path::new(dir).join(format!("profile-{n}.folded"));
         let _ = std::fs::write(folded_path, profile.folded());
     }
@@ -327,10 +299,6 @@ impl Server {
             ),
             metrics: Metrics::new(),
             queue: JobQueue::new(config.queue_capacity),
-            spans: config
-                .trace_dump
-                .as_ref()
-                .map(|_| Mutex::new(VecDeque::with_capacity(1024))),
             dump_seq: AtomicU64::new(0),
             last_auto_dump_ms: AtomicU64::new(0),
             started: Instant::now(),
@@ -377,8 +345,7 @@ impl Server {
 
         // With trace_dump set, a low-rate drain keeps the span rings from
         // overflowing between dumps.
-        let retain_handle = if shared.spans.is_some() {
-            let shared = Arc::clone(&shared);
+        let retain_handle = if shared.config.trace_dump.is_some() {
             let stopping = Arc::clone(&stopping);
             Some(
                 thread::Builder::new()
@@ -386,7 +353,7 @@ impl Server {
                     .spawn(move || {
                         while !stopping.load(Ordering::Acquire) {
                             thread::sleep(Duration::from_millis(50));
-                            retain_spans(&shared);
+                            copred_obs::retain_events();
                         }
                     })
                     .expect("spawn span retention"),
@@ -799,7 +766,17 @@ fn worker_loop(shared: &Shared) {
         // The worker adopts the request's trace for the batch: every span
         // and flight entry below carries it.
         let _trace_scope = TraceScope::enter(job.trace);
-        let results = run_batch(&job.session, &job.motions, shared);
+        let results = execute_batch(&job.session, &job.motions, shared.config.csp_step);
+        let gm = &shared.metrics;
+        gm.checks.fetch_add(results.len() as u64, Ordering::Relaxed);
+        gm.cdqs_issued.fetch_add(
+            results.iter().map(|r| r.cdqs_executed).sum(),
+            Ordering::Relaxed,
+        );
+        gm.cdqs_total.fetch_add(
+            results.iter().map(|r| r.cdqs_total).sum(),
+            Ordering::Relaxed,
+        );
         job.session.pending.fetch_sub(1, Ordering::AcqRel);
         let ns = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
         shared
@@ -814,89 +791,4 @@ fn worker_loop(shared: &Shared) {
         // The connection may have vanished; the work still counted.
         let _ = job.reply.send(results);
     }
-}
-
-fn run_batch(session: &SessionState, motions: &[MotionTrace], shared: &Shared) -> Vec<CheckResult> {
-    motions
-        .iter()
-        .map(|m| {
-            let schedule_span = copred_obs::span("service", "schedule");
-            let schedule_stage = stage(Stage::Schedule);
-            let infos = m.to_cdq_infos();
-            drop(schedule_stage);
-            drop(schedule_span);
-            let execute_span = copred_obs::span("service", "execute");
-            let execute_stage = stage(Stage::Execute);
-            let out = match session.mode {
-                SchedMode::Coord => {
-                    let mut pred = ChtPredictor::new(session, &m.poses);
-                    {
-                        // Priming is the bulk of the predictor's CHT-read
-                        // work: publish it as execute→predict so stage
-                        // fractions separate prediction from execution.
-                        let _predict_stage = stage(Stage::Predict);
-                        pred.prime(&infos);
-                    }
-                    if copred_obs::enabled() {
-                        // Wrapping the predictor keeps the inner call
-                        // sequence identical to the untimed path, so
-                        // results stay bit-identical while the accumulated
-                        // predictor time becomes a "predict" span nested
-                        // in "execute".
-                        let mut timed = TimedPredictor::new(&mut pred);
-                        let out = run_predicted_schedule(
-                            &infos,
-                            m.poses.len(),
-                            shared.config.csp_step,
-                            &mut timed,
-                        );
-                        copred_obs::span_at(
-                            "service",
-                            "predict",
-                            execute_span.start_ns(),
-                            timed.predict_ns() + timed.observe_ns(),
-                        );
-                        out
-                    } else {
-                        run_predicted_schedule(
-                            &infos,
-                            m.poses.len(),
-                            shared.config.csp_step,
-                            &mut pred,
-                        )
-                    }
-                }
-                SchedMode::Naive => run_schedule(&infos, m.poses.len(), Schedule::Naive),
-                SchedMode::Csp => run_schedule(
-                    &infos,
-                    m.poses.len(),
-                    Schedule::Csp {
-                        step: shared.config.csp_step,
-                    },
-                ),
-            };
-            drop(execute_stage);
-            drop(execute_span);
-            let sm = &session.metrics;
-            sm.checks.fetch_add(1, Ordering::Relaxed);
-            sm.cdqs_issued
-                .fetch_add(out.cdqs_executed as u64, Ordering::Relaxed);
-            sm.cdqs_total
-                .fetch_add(out.cdqs_total as u64, Ordering::Relaxed);
-            sm.collisions
-                .fetch_add(u64::from(out.colliding), Ordering::Relaxed);
-            let gm = &shared.metrics;
-            gm.checks.fetch_add(1, Ordering::Relaxed);
-            gm.cdqs_issued
-                .fetch_add(out.cdqs_executed as u64, Ordering::Relaxed);
-            gm.cdqs_total
-                .fetch_add(out.cdqs_total as u64, Ordering::Relaxed);
-            CheckResult {
-                colliding: out.colliding,
-                cdqs_executed: out.cdqs_executed as u64,
-                cdqs_total: out.cdqs_total as u64,
-                obstacle_tests: out.obstacle_tests as u64,
-            }
-        })
-        .collect()
 }

@@ -11,9 +11,10 @@
 
 use crate::metrics::SessionMetrics;
 use crate::protocol::{CheckResult, SchedMode, ServiceError};
-use copred_collision::{run_predicted_schedule, run_schedule, CdqInfo, CdqPredictor, Schedule};
+use copred_collision::{run_predicted_schedule_with, CdqInfo, CdqPredictor, ScheduleScratch};
 use copred_core::{ChtParams, CollisionHash, CoordHash, HashInput};
 use copred_kinematics::{presets, Config, Robot};
+use copred_obs::{stage, Stage};
 use copred_store::{SessionStore, StoreRegistry, StoreStats, TableImage};
 use copred_swexec::{ConcurrentCht, ShardedCht};
 use std::collections::HashMap;
@@ -51,7 +52,7 @@ pub struct SessionState {
     pub pending: AtomicUsize,
     /// xorshift64 state driving the CHT's `U`-policy draws; seeded by the
     /// client so replays are deterministic.
-    u_state: Mutex<u64>,
+    u_state: AtomicU64,
     /// LRU timestamp (registry logical clock).
     last_used: AtomicU64,
     /// Store handle when the session opened with an environment
@@ -62,15 +63,24 @@ pub struct SessionState {
 impl SessionState {
     /// Advances the session's `U`-policy stream by one draw in `[0, 1)`.
     pub fn next_u_draw(&self) -> f64 {
-        let mut s = self.u_state.lock().expect("u_state lock");
-        *s ^= *s << 13;
-        *s ^= *s >> 7;
-        *s ^= *s << 17;
-        (*s >> 11) as f64 / (1u64 << 53) as f64
+        let step = |mut s: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        // One atomic step per draw: concurrent batches of one session
+        // still consume a single stream, draw by draw. Relaxed, because
+        // the word publishes no other data.
+        let prev = self
+            .u_state
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(step(s)))
+            .expect("the update always succeeds");
+        (step(prev) >> 11) as f64 / (1u64 << 53) as f64
     }
 
     fn u_state_snapshot(&self) -> u64 {
-        *self.u_state.lock().expect("u_state lock")
+        self.u_state.load(Ordering::Relaxed)
     }
 
     /// A plain-memory image of the session's table *and* its `U`-draw RNG
@@ -105,24 +115,30 @@ impl SessionState {
 /// [`CdqPredictor`] adapter binding a session's shard, hasher, and the
 /// poses of the motion being checked.
 ///
+/// Per-CDQ state lives in `Vec`s indexed by the CDQ's position in the
+/// scheduled slice: the COORD code [`Self::prime`] computed for it, and the
+/// prediction awaiting its outcome.
+///
 /// Prediction quality (the confusion counters) is classified at *observe*
 /// time, not predict time: under early exit a schedule consults the
 /// predictor for every CDQ but executes only some of them, so counting at
 /// predict would record more outcomes than `cdqs_issued` and break the
-/// ledger invariant `tp + fp + tn + fn == cdqs_issued`. Predictions are
-/// therefore stashed per CDQ here and consumed when (if) the CDQ runs.
+/// ledger invariant `tp + fp + tn + fn == cdqs_issued`. The counts are
+/// tallied locally and added to the session's counters once per motion by
+/// [`execute_batch`], or when the predictor drops.
 pub struct ChtPredictor<'a> {
     session: &'a SessionState,
     poses: &'a [Config],
     /// `false` disables lookups entirely (naive/CSP sessions), leaving the
     /// scheduler to degrade to plain CSP order.
     enabled: bool,
-    /// Latest prediction per `(pose_idx, link_idx)`, consumed at observe.
-    predictions: HashMap<(usize, usize), bool>,
-    /// COORD codes precomputed by [`Self::prime`], keyed like
-    /// `predictions`. Empty until primed; `code` falls back to hashing
-    /// any CDQ not in here.
-    codes: HashMap<(usize, usize), u64>,
+    /// COORD code per CDQ position, filled by [`Self::prime`]; a position
+    /// past its end is hashed on demand.
+    codes: Vec<u64>,
+    /// Prediction per CDQ position, set at predict and taken at observe.
+    predicted: Vec<bool>,
+    /// Unpublished `[tp, fp, tn, fn]` counts.
+    confusion: [u64; 4],
 }
 
 impl<'a> ChtPredictor<'a> {
@@ -132,31 +148,36 @@ impl<'a> ChtPredictor<'a> {
             session,
             poses,
             enabled: session.mode == SchedMode::Coord,
-            predictions: HashMap::new(),
-            codes: HashMap::new(),
+            codes: Vec::new(),
+            predicted: Vec::new(),
+            confusion: [0; 4],
         }
     }
 
-    /// Precomputes the COORD code of every CDQ in `infos`, so the per-CDQ
-    /// predict/observe calls skip re-encoding (observe would otherwise
-    /// encode the same center a second time).
+    /// Precomputes the COORD code of every CDQ in `infos`, the slice the
+    /// next schedule runs over, so the per-CDQ predict/observe calls skip
+    /// re-encoding (observe would otherwise encode the same center a
+    /// second time). Clears the predictions of any earlier slice.
     ///
     /// A COORD code depends only on the CDQ center and the session hasher —
     /// never on table state — so computing it up front cannot change any
     /// code, prediction, or ledger entry.
     pub fn prime(&mut self, infos: &[CdqInfo]) {
+        self.codes.clear();
+        self.predicted.clear();
         if !self.enabled {
             return;
         }
+        self.predicted.resize(infos.len(), false);
         self.codes.reserve(infos.len());
         for cdq in infos {
             let code = self.hash(cdq);
-            self.codes.insert((cdq.pose_idx, cdq.link_idx), code);
+            self.codes.push(code);
         }
     }
 
-    fn code(&self, cdq: &CdqInfo) -> u64 {
-        match self.codes.get(&(cdq.pose_idx, cdq.link_idx)) {
+    fn code(&self, i: usize, cdq: &CdqInfo) -> u64 {
+        match self.codes.get(i) {
             Some(&code) => code,
             None => self.hash(cdq),
         }
@@ -169,41 +190,59 @@ impl<'a> ChtPredictor<'a> {
         };
         self.session.hasher.code(&input)
     }
+
+    /// Adds the confusion counts tallied since the last publish to the
+    /// session's counters.
+    fn publish(&mut self) {
+        let m = &self.session.metrics;
+        let counters = [&m.true_pos, &m.false_pos, &m.true_neg, &m.false_neg];
+        for (counter, n) in counters
+            .into_iter()
+            .zip(std::mem::take(&mut self.confusion))
+        {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+impl Drop for ChtPredictor<'_> {
+    fn drop(&mut self) {
+        self.publish();
+    }
 }
 
 impl CdqPredictor for ChtPredictor<'_> {
-    fn predict(&mut self, cdq: &CdqInfo) -> bool {
+    fn predict(&mut self, i: usize, cdq: &CdqInfo) -> bool {
         if !self.enabled {
             return false;
         }
-        let predicted = self.session.shard.predict(self.code(cdq));
-        self.predictions
-            .insert((cdq.pose_idx, cdq.link_idx), predicted);
+        let predicted = self.session.shard.predict(self.code(i, cdq));
+        if i >= self.predicted.len() {
+            self.predicted.resize(i + 1, false);
+        }
+        self.predicted[i] = predicted;
         predicted
     }
 
-    fn observe(&mut self, cdq: &CdqInfo, colliding: bool) {
+    fn observe(&mut self, i: usize, cdq: &CdqInfo, colliding: bool) {
         if !self.enabled {
             return;
         }
-        // One confusion-counter bump per executed CDQ, keyed on the
-        // prediction stashed for it. A CDQ observed without a prior
-        // predict call counts as a negative prediction (the scheduler's
-        // default when it never consulted us).
-        let predicted = self
-            .predictions
-            .remove(&(cdq.pose_idx, cdq.link_idx))
-            .unwrap_or(false);
-        let m = &self.session.metrics;
-        let counter = match (predicted, colliding) {
-            (true, true) => &m.true_pos,
-            (true, false) => &m.false_pos,
-            (false, false) => &m.true_neg,
-            (false, true) => &m.false_neg,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        // One confusion count per executed CDQ, keyed on the prediction
+        // stashed for it. A CDQ observed without a prior predict call
+        // counts as a negative prediction (the scheduler's default when it
+        // never consulted us).
+        let predicted = self.predicted.get_mut(i).is_some_and(std::mem::take);
+        self.confusion[match (predicted, colliding) {
+            (true, true) => 0,
+            (true, false) => 1,
+            (false, false) => 2,
+            (false, true) => 3,
+        }] += 1;
         let u = self.session.next_u_draw();
-        let code = self.code(cdq);
+        let code = self.code(i, cdq);
         let applied = self.session.shard.observe(code, colliding, u);
         // WAL-log only *applied* writes (the U gate already ran), so replay
         // is RNG-free and bit-exact. The compaction closure exports the
@@ -220,11 +259,11 @@ impl CdqPredictor for ChtPredictor<'_> {
 /// [`CdqPredictor`] decorator that forwards to an inner predictor while
 /// estimating wall time spent in `predict` and `observe` calls.
 ///
-/// The server wraps [`ChtPredictor`] in this only when the observability
-/// recorder is enabled, then emits the estimated time as a `predict`
-/// span: the inner call sequence is identical either way, so results stay
-/// bit-identical to an uninstrumented run, and the disabled path never
-/// reads a clock per CDQ.
+/// [`execute_batch`] wraps [`ChtPredictor`] in this only when the
+/// observability recorder is enabled, then emits the estimated time as a
+/// `predict` span: the inner call sequence, position arguments included,
+/// is identical either way, so results stay bit-identical to an
+/// uninstrumented run, and the disabled path never reads a clock per CDQ.
 ///
 /// Timing is *sampled*: only one call in [`Self::SAMPLE`] reads the clock
 /// (calls are ~30 ns on this class of hardware, so per-call timing of a
@@ -277,62 +316,104 @@ impl<'a, P: CdqPredictor> TimedPredictor<'a, P> {
 }
 
 impl<P: CdqPredictor> CdqPredictor for TimedPredictor<'_, P> {
-    fn predict(&mut self, cdq: &CdqInfo) -> bool {
+    fn predict(&mut self, i: usize, cdq: &CdqInfo) -> bool {
         // Time call 0 and then every SAMPLE-th, so short batches still
         // get a measurement.
         let timed = self.predict_calls.is_multiple_of(Self::SAMPLE);
         self.predict_calls += 1;
         if !timed {
-            return self.inner.predict(cdq);
+            return self.inner.predict(i, cdq);
         }
         let t = std::time::Instant::now();
-        let r = self.inner.predict(cdq);
+        let r = self.inner.predict(i, cdq);
         self.predict_sampled_ns += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
         r
     }
 
-    fn observe(&mut self, cdq: &CdqInfo, colliding: bool) {
+    fn observe(&mut self, i: usize, cdq: &CdqInfo, colliding: bool) {
         let timed = self.observe_calls.is_multiple_of(Self::SAMPLE);
         self.observe_calls += 1;
         if !timed {
-            return self.inner.observe(cdq, colliding);
+            return self.inner.observe(i, cdq, colliding);
         }
         let t = std::time::Instant::now();
-        self.inner.observe(cdq, colliding);
+        self.inner.observe(i, cdq, colliding);
         self.observe_sampled_ns += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
 }
 
-/// Executes one motion-check batch against a session exactly as the
-/// server's worker pool does — the canonical batch semantics shared by the
-/// TCP worker, the conformance harness, and the replay engine. Schedules
-/// each motion per the session's [`SchedMode`], updates the session's
-/// metrics (including the confusion ledger via [`ChtPredictor`] observes),
-/// and returns the wire-visible [`CheckResult`]s in motion order.
+/// Executes one motion-check batch against a session: the one definition
+/// of batch semantics, shared by the server's worker pool, the conformance
+/// harness, and the replay engine. Schedules each motion per the session's
+/// [`SchedMode`], updates the session's metrics (including the confusion
+/// ledger via [`ChtPredictor`] observes), and returns the wire-visible
+/// [`CheckResult`]s in motion order.
+///
+/// Each motion emits a `schedule` span (CDQ conversion) and an `execute`
+/// span (prime plus Algorithm 1) with a nested `predict` span estimating
+/// the predictor's share, under the matching profiler stages. One set of
+/// buffers (CDQ infos, visit order, deferred queue, codes, predictions)
+/// serves every motion of the batch.
 pub fn execute_batch(
     session: &SessionState,
     motions: &[copred_trace::MotionTrace],
     csp_step: usize,
 ) -> Vec<CheckResult> {
+    // A never-predicting predictor schedules exactly like CSP, and stride
+    // 1 is the naive order: naive and CSP sessions run the same loop with
+    // lookups off.
+    let step = if session.mode == SchedMode::Naive {
+        1
+    } else {
+        csp_step
+    };
+    let mut pred = ChtPredictor::new(session, &[]);
+    let mut infos = Vec::new();
+    let mut scratch = ScheduleScratch::default();
     motions
         .iter()
         .map(|m| {
-            let infos = m.to_cdq_infos();
-            let out = match session.mode {
-                SchedMode::Coord => {
-                    let mut pred = ChtPredictor::new(session, &m.poses);
-                    pred.prime(&infos);
-                    run_predicted_schedule(&infos, m.poses.len(), csp_step, &mut pred)
-                }
-                SchedMode::Naive => run_schedule(&infos, m.poses.len(), Schedule::Naive),
-                SchedMode::Csp => {
-                    run_schedule(&infos, m.poses.len(), Schedule::Csp { step: csp_step })
-                }
+            {
+                let _span = copred_obs::span("service", "schedule");
+                let _stage = stage(Stage::Schedule);
+                m.cdq_infos_into(&mut infos);
+            }
+            let execute_span = copred_obs::span("service", "execute");
+            let execute_stage = stage(Stage::Execute);
+            pred.poses = &m.poses;
+            if pred.enabled {
+                // Priming is the bulk of the predictor's CHT-read work:
+                // publish it as execute→predict so stage fractions separate
+                // prediction from execution.
+                let _predict_stage = stage(Stage::Predict);
+                pred.prime(&infos);
+            }
+            let n_poses = m.poses.len();
+            let out = if pred.enabled && copred_obs::enabled() {
+                // Wrapping the predictor keeps the inner call sequence
+                // identical to the untimed path, so results stay
+                // bit-identical while the accumulated predictor time
+                // becomes a "predict" span nested in "execute".
+                let mut timed = TimedPredictor::new(&mut pred);
+                let out =
+                    run_predicted_schedule_with(&infos, n_poses, step, &mut timed, &mut scratch);
+                copred_obs::span_at(
+                    "service",
+                    "predict",
+                    execute_span.start_ns(),
+                    timed.predict_ns() + timed.observe_ns(),
+                );
+                out
+            } else {
+                run_predicted_schedule_with(&infos, n_poses, step, &mut pred, &mut scratch)
             };
+            drop(execute_stage);
+            drop(execute_span);
             let sm = &session.metrics;
             sm.checks.fetch_add(1, Ordering::Relaxed);
             sm.cdqs_issued
                 .fetch_add(out.cdqs_executed as u64, Ordering::Relaxed);
+            pred.publish();
             sm.cdqs_total
                 .fetch_add(out.cdqs_total as u64, Ordering::Relaxed);
             sm.collisions
@@ -580,7 +661,7 @@ impl SessionRegistry {
             hasher,
             metrics: SessionMetrics::default(),
             pending: AtomicUsize::new(0),
-            u_state: Mutex::new(u_seed),
+            u_state: AtomicU64::new(u_seed),
             last_used: AtomicU64::new(self.tick()),
             store: store_handle,
         });

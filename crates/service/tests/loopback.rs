@@ -195,3 +195,74 @@ fn server_stats_match_client_side_sums_and_oplog_roundtrips() {
         "every record carries replayable payloads"
     );
 }
+
+/// Motion blocks no well-behaved client sends: each repeats a
+/// `(pose_idx, link_idx)` pair whose copies disagree on center or outcome,
+/// names a link past planar-2d's single link, and lists CDQs out of pose
+/// order. The first collides only through its duplicate keys.
+const HOSTILE_BLOCKS: [&str; 2] = [
+    "motion S1 3 6\npose -0.5 0.0\npose 0.0 0.0\npose 0.5 0.0\n\
+     cdq 0 0 -0.5 0.0 0.0 0 1\ncdq 0 0 0.9 0.9 0.0 1 2\ncdq 1 9 0.0 0.0 0.0 0 1\n\
+     cdq 2 0 0.5 0.0 0.0 0 1\ncdq 2 0 0.5 0.0 0.0 0 1\ncdq 1 9 0.1 0.1 0.0 1 4\n",
+    "motion S2 2 4\npose 0.2 0.2\npose 0.3 0.3\n\
+     cdq 1 0 0.3 0.3 0.0 0 1\ncdq 1 0 0.3 0.3 0.0 0 1\n\
+     cdq 0 4 0.2 0.2 0.0 0 1\ncdq 0 4 0.7 0.7 0.0 0 1\n",
+];
+
+/// Asserts `tp + fp + tn + fn == cdqs_issued` on a session's stats.
+fn assert_ledger(kv: &[(String, String)], what: &str) {
+    let get = |k: &str| stat_u64(kv, k).unwrap_or_else(|| panic!("{what}: no {k}"));
+    let classified = get("true_pos") + get("false_pos") + get("true_neg") + get("false_neg");
+    assert_eq!(classified, get("cdqs_issued"), "{what}: ledger {kv:?}");
+}
+
+#[test]
+fn hostile_cdq_keys_get_brute_force_verdicts_and_a_balanced_ledger() {
+    use copred_core::ChtParams;
+    use copred_service::{execute_batch, Response, SessionRegistry};
+
+    let motions: Vec<MotionTrace> = HOSTILE_BLOCKS
+        .iter()
+        .map(|b| MotionTrace::from_text(b).expect("the parser accepts the block"))
+        .collect();
+    let params = ChtParams::paper_2d();
+    let registry = SessionRegistry::new(params, 2);
+    let (local, _) = registry.open("planar-2d", SchedMode::Coord, 7).unwrap();
+    let server = Server::start(ServerConfig {
+        cht_params: params,
+        ..ServerConfig::default()
+    })
+    .expect("start server");
+    let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
+    let remote = client.open("planar-2d", 1, SchedMode::Coord, 7).unwrap();
+    // Repeats let the table learn the colliding duplicates, so later
+    // rounds predict some CDQs colliding and defer the rest.
+    for round in 0..6 {
+        let in_process = execute_batch(&local, &motions, 5);
+        let Response::Results { results, .. } =
+            client.check_motions_once(remote, motions.clone()).unwrap()
+        else {
+            panic!("round {round}: the server must answer with results");
+        };
+        assert_eq!(results, in_process, "round {round}: loopback vs in-process");
+        for (m, r) in motions.iter().zip(&results) {
+            assert_eq!(
+                r.colliding,
+                m.colliding(),
+                "round {round}: brute-force verdict"
+            );
+            assert!(r.cdqs_executed <= r.cdqs_total, "round {round}: {r:?}");
+            assert_eq!(r.cdqs_total, m.cdqs.len() as u64);
+        }
+    }
+    assert_ledger(&local.metrics.stat_lines("coord", 0), "in-process");
+    assert_ledger(&client.stats(Some(remote)).unwrap(), "loopback");
+    assert!(
+        local
+            .metrics
+            .true_pos
+            .load(std::sync::atomic::Ordering::Relaxed)
+            > 0,
+        "the learned duplicates must be predicted"
+    );
+}

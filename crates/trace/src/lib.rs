@@ -180,17 +180,24 @@ impl MotionTrace {
     /// degenerate point box at the center (schedulers never re-execute
     /// geometry; only `colliding` / `obstacle_tests` matter).
     pub fn to_cdq_infos(&self) -> Vec<CdqInfo> {
-        self.cdqs
-            .iter()
-            .map(|c| CdqInfo {
-                pose_idx: c.pose_idx as usize,
-                link_idx: c.link_idx as usize,
-                center: c.center,
-                obb: copred_geometry::Obb::axis_aligned(c.center, Vec3::ZERO),
-                colliding: c.colliding,
-                obstacle_tests: c.obstacle_tests as usize,
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.cdqs.len());
+        self.cdq_infos_into(&mut out);
+        out
+    }
+
+    /// [`to_cdq_infos`](Self::to_cdq_infos) into a caller-owned buffer,
+    /// replacing its contents: a caller converting many motions reuses one
+    /// allocation.
+    pub fn cdq_infos_into(&self, out: &mut Vec<CdqInfo>) {
+        out.clear();
+        out.extend(self.cdqs.iter().map(|c| CdqInfo {
+            pose_idx: c.pose_idx as usize,
+            link_idx: c.link_idx as usize,
+            center: c.center,
+            obb: copred_geometry::Obb::axis_aligned(c.center, Vec3::ZERO),
+            colliding: c.colliding,
+            obstacle_tests: c.obstacle_tests as usize,
+        }));
     }
 }
 
